@@ -5,9 +5,7 @@ through the experiment registry with the table saved under
 benchmarks/results/.
 """
 
-from repro.experiments.figures import _register_ablations
-
-_register_ablations()
+import repro.experiments  # noqa: F401  (registers the ablations)
 
 
 def test_abl_bypass(regenerate):

@@ -9,18 +9,12 @@ loops the perf work targets:
 * ``quad_core_chrome``  — the paper's default configuration: 4 cores,
   heap-scheduled interleaving, CHROME deciding at the LLC;
 * ``qtable_loop``       — the RL decision/update kernel in isolation
-  (``best_action`` lookups with interleaved ``apply_delta`` updates);
-* ``batch_qtable``      — the chunk-grained Q-table kernels
-  (``best_actions``/``apply_deltas`` over pre-classified chunks) on
-  the selected backend; this is where ``--backend numpy`` shows its
-  vectorization win (the per-record benches above are sequential by
-  nature and cannot batch).
+  (``best_action`` lookups with interleaved ``apply_delta`` updates).
 
 Run standalone (no pytest needed)::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py               # full scale
     PYTHONPATH=src python benchmarks/bench_hotpath.py --tiny        # CI scale
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --backend numpy
     PYTHONPATH=src python benchmarks/bench_hotpath.py \
         --baseline benchmarks/hotpath_ci_baseline.json --tolerance 0.30
 
@@ -46,7 +40,6 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.core.backend import make_qtable, resolve_backend  # noqa: E402
 from repro.core.chrome import ChromePolicy  # noqa: E402
 from repro.core.config import MISS_ACTIONS, ChromeConfig  # noqa: E402
 from repro.core.qtable import QTable  # noqa: E402
@@ -62,14 +55,10 @@ FULL_WORK = {
     "single_core_lru": 60_000,
     "quad_core_chrome": 15_000,  # per core -> 60K records total
     "qtable_loop": 150_000,
-    "batch_qtable": 400_000,  # chunk-grained decide+update ops
 }
 
-#: committed CI baselines — --update-baseline refuses these without --force
-_COMMITTED_BASELINES = (
-    Path(__file__).resolve().parent / "perf_baseline_tiny.json",
-    Path(__file__).resolve().parent / "perf_baseline_tiny_numpy.json",
-)
+#: committed CI baseline — --update-baseline refuses it without --force
+_COMMITTED_BASELINES = (Path(__file__).resolve().parent / "perf_baseline_tiny.json",)
 
 
 def bench_single_core_lru(work: int) -> tuple:
@@ -115,55 +104,10 @@ def bench_qtable_loop(work: int) -> tuple:
     return work, time.perf_counter() - start
 
 
-def bench_batch_qtable(work: int) -> tuple:
-    """Chunk-grained kernels: decide a 2048-state chunk, train 512.
-
-    Chunk preparation (state arrays, actions, deltas) happens before
-    the clock starts — that is the pre-classified-chunk contract: the
-    batched access paths hand the Q-table whole columnar chunks.  The
-    numpy backend gets read-only uint64 arrays (enabling its row-index
-    memo, the batch analogue of the scalar table's row caches); the
-    scalar reference gets the same states as tuples, which its own
-    per-value memos serve.  Both sides then run identical
-    ``best_actions``/``apply_deltas`` call sequences.
-    """
-    backend = resolve_backend(None)
-    qtable = make_qtable(2, ChromeConfig())
-    decide_n, update_n, num_chunks = 2048, 512, 16
-    chunks = []
-    for c in range(num_chunks):
-        states = [
-            (((i * 17 + c * 8191) & 0xFFFF), ((i * 29 + c * 524287) & 0x3FFF))
-            for i in range(decide_n)
-        ]
-        update_states = states[:update_n]
-        actions = [(i * 7 + c) & 3 for i in range(update_n)]
-        deltas = [0.0625 * ((i + c) % 7 - 3) for i in range(update_n)]
-        if backend == "numpy":
-            import numpy as np
-
-            darr = np.asarray(states, dtype=np.uint64)
-            darr.flags.writeable = False
-            uarr = np.asarray(update_states, dtype=np.uint64)
-            uarr.flags.writeable = False
-            chunks.append((darr, uarr, actions, deltas))
-        else:
-            chunks.append((states, update_states, actions, deltas))
-    ops_per_chunk = decide_n + update_n
-    iterations = max(1, work // ops_per_chunk)
-    start = time.perf_counter()
-    for i in range(iterations):
-        decide_states, update_states, actions, deltas = chunks[i % num_chunks]
-        qtable.best_actions(decide_states, MISS_ACTIONS)
-        qtable.apply_deltas(update_states, actions, deltas)
-    return iterations * ops_per_chunk, time.perf_counter() - start
-
-
 BENCHES = {
     "single_core_lru": bench_single_core_lru,
     "quad_core_chrome": bench_quad_core_chrome,
     "qtable_loop": bench_qtable_loop,
-    "batch_qtable": bench_batch_qtable,
 }
 
 
@@ -230,18 +174,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="allow --update-baseline to overwrite a committed CI baseline",
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["scalar", "numpy"],
-        help="Q-table execution backend (sets REPRO_BACKEND for this run)",
-    )
     args = parser.parse_args(argv)
-
-    if args.backend is not None:
-        import os
-
-        os.environ["REPRO_BACKEND"] = resolve_backend(args.backend)
 
     results = run_benches(tiny=args.tiny, repeat=args.repeat)
     for name, entry in results.items():
@@ -250,7 +183,7 @@ def main(argv=None) -> int:
             f"{entry['ops_per_sec']:>12,.0f} ops/s"
         )
 
-    payload = {"tiny": args.tiny, "backend": resolve_backend(None), "benches": results}
+    payload = {"tiny": args.tiny, "benches": results}
     if args.json:
         args.json.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.json}")

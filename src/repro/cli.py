@@ -65,24 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress per-job progress/timing lines on stderr",
     )
-    run.add_argument(
-        "--obs",
-        action="store_true",
-        help="record repro.obs telemetry (timelines, Chrome traces, counters)",
-    )
-    run.add_argument(
-        "--obs-dir",
-        default=None,
-        metavar="DIR",
-        help="artifact directory for --obs (default obs-artifacts; implies --obs)",
-    )
-    run.add_argument(
-        "--backend",
-        default=None,
-        choices=["scalar", "numpy"],
-        help="Q-table execution backend (bit-identical results; numpy "
-        "vectorizes batch sweeps — see DESIGN.md §9)",
-    )
+    _add_obs_args(run)
 
     report = sub.add_parser(
         "obs-report", help="summarize the artifacts of an obs-enabled run"
@@ -134,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kill-shard", type=int, default=-1, metavar="I",
         help="kill shard I for the middle quarter of the run",
     )
-    _add_obs_backend_args(cluster)
+    _add_obs_args(cluster)
 
     ops = sub.add_parser(
         "ops",
@@ -193,12 +176,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--degrade-at", type=int, default=-1, metavar="W",
         help="inject a simulated bad deploy at the end of window W",
     )
-    _add_obs_backend_args(ops)
+    _add_obs_args(ops)
     return parser
 
 
-def _add_obs_backend_args(sub: argparse.ArgumentParser) -> None:
-    """The telemetry/backend flags every run-style subcommand shares."""
+def _add_obs_args(sub: argparse.ArgumentParser) -> None:
+    """The telemetry flags every run-style subcommand shares."""
     sub.add_argument(
         "--obs",
         action="store_true",
@@ -210,33 +193,11 @@ def _add_obs_backend_args(sub: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="artifact directory for --obs (default obs-artifacts; implies --obs)",
     )
-    sub.add_argument(
-        "--backend",
-        default=None,
-        choices=["scalar", "numpy"],
-        help="Q-table execution backend (bit-identical results; numpy "
-        "vectorizes batch sweeps — see DESIGN.md §9)",
-    )
-
-
-def _apply_backend(backend: Optional[str]) -> None:
-    """Propagate --backend to every layer via the validated env var.
-
-    Jobs cross process boundaries as frozen specs whose ``backend``
-    fields default to None (= defer to ``REPRO_BACKEND``), so the env
-    var is exactly the right channel: worker processes inherit it, and
-    :func:`repro.core.backend.resolve_backend` validates it at every
-    construction site.
-    """
-    if backend is not None:
-        from .core.backend import resolve_backend
-
-        os.environ["REPRO_BACKEND"] = resolve_backend(backend)
 
 
 def _obs_config_from_args(args: argparse.Namespace):
     """ObsConfig when --obs/--obs-dir requested, else None (all subcommands)."""
-    if not (getattr(args, "obs", False) or args.obs_dir is not None):
+    if not (args.obs or args.obs_dir is not None):
         return None
     from .obs import ObsConfig
 
@@ -422,7 +383,6 @@ def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
 
 def _run_cli(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    _apply_backend(getattr(args, "backend", None))
     if args.command == "cluster":
         return _run_cluster_command(args)
     if args.command == "ops":
@@ -455,11 +415,7 @@ def _run_cli(argv: Optional[List[str]] = None) -> int:
         print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
     progress = None if args.quiet else ProgressReporter(sys.stderr)
-    obs_config = None
-    if args.obs or args.obs_dir is not None:
-        from .obs import ObsConfig
-
-        obs_config = ObsConfig(out_dir=args.obs_dir or "obs-artifacts")
+    obs_config = _obs_config_from_args(args)
     try:
         engine = Engine(
             workers=workers,

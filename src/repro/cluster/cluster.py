@@ -12,7 +12,7 @@ The determinism argument is the serve layer's, applied once more:
 
 * the cluster exposes the same ``process(seq, req)`` surface as a
   single service, so the *same* ticket-sequenced driver
-  (:func:`~repro.serve.service._drive` / ``replay_requests``) runs it —
+  (:func:`~repro.serve.service.drive_requests`) runs it —
   requests enter the router in global sequence order at any client
   count;
 * every routing input is a pure function of that global sequence:
@@ -32,7 +32,6 @@ window regardless of how traffic splits.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,7 +43,7 @@ from ..serve.metrics import (
     TenantMetrics,
     percentile,
 )
-from ..serve.service import CacheService, _drive, replay_requests
+from ..serve.service import CacheService, drive_requests
 from ..serve.workloads import Request
 from ..sim.address import mix_hash
 from .federate import federate_agents
@@ -556,8 +555,5 @@ def run_cluster(
         kill_faults=kill_faults,
         obs=obs,
     )
-    if config.num_clients <= 1:
-        replay_requests(cluster, requests)
-    else:
-        asyncio.run(_drive(cluster, requests, config.num_clients))
+    drive_requests(cluster, requests, config.num_clients)
     return cluster.finalize()

@@ -12,7 +12,7 @@ adapter delegates verbatim.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..env.protocol import Environment
 from ..env.registry import register_environment
@@ -38,7 +38,6 @@ class ClusterEnvironment(Environment):
         num_segments: int = 64,
         seed: int = 17,
         federate_every: int = 0,
-        backend: Optional[str] = None,
     ) -> None:
         self._num_requests = num_requests
         self.config = ServiceConfig.from_params(
@@ -49,7 +48,6 @@ class ClusterEnvironment(Environment):
             warmup_requests=warmup_requests,
             seed=seed,
             workload_name=workload,
-            backend=backend,
         )
         self.cluster = ClusterService(
             self.config, num_shards, federate_every=federate_every

@@ -9,7 +9,7 @@ x 28 entries).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .features import DEFAULT_FEATURES
 from .rewards import RewardConfig
@@ -76,12 +76,6 @@ class ChromeConfig:
     q_fixed_point_fraction_bits: int = 6
     q_value_bits: int = 16
     seed: int = 0x5EED
-    #: Q-table execution backend: "scalar" (golden reference), "numpy"
-    #: (vectorized batch kernels), or None to defer to the validated
-    #: ``REPRO_BACKEND`` env var.  Purely a performance knob — both
-    #: backends are bit-identical (DESIGN.md §9), so this field never
-    #: enters cache keys or persistence fingerprints.
-    backend: Optional[str] = None
 
     @property
     def optimistic_q(self) -> float:

@@ -80,11 +80,10 @@ def _validate_qtable_grid(agent, qtable_state: Dict[str, Any]) -> None:
     ``quantum``-spaced, ``q_value_bits``-clamped lattice.  The scalar
     :class:`~repro.core.qtable.QTable` would load them silently and
     then drift — every subsequent update rounds *deltas*, not totals,
-    so an off-grid table never converges back onto the lattice and the
-    scalar/numpy backends stop agreeing.  Rejecting here turns that
-    silent corruption into an immediate, explicit error (the numpy
-    backend already enforces this inside ``load_state_dict``; this
-    check makes the contract backend-independent).
+    so an off-grid table never converges back onto the lattice and its
+    decisions stop matching the run that produced the snapshot.
+    Rejecting here turns that silent corruption into an immediate,
+    explicit error before any live state is touched.
     """
     config = agent.config
     quantum = 1.0 / (1 << config.q_fixed_point_fraction_bits)

@@ -19,15 +19,12 @@ grid (``fraction_bits`` fractional bits) after every update so learning
 dynamics match the implementable design.
 
 Implementation note: storage here is plain nested lists, not numpy.
-For *per-access* scalar ops — one 4-wide row touched per LLC access —
-list indexing beats small-array numpy dispatch by several times, and
-this class is the golden reference every committed artifact was
-generated with.  That advantage inverts for *batched* kernels: the
-opt-in numpy backend (:mod:`repro.core.qtable_np`, selected via
-:mod:`repro.core.backend` / DESIGN.md §9) decides and trains whole
-trace chunks per dispatch, bit-identically, several times faster than
-the scalar loop.  Row indices (4 hashes per feature value) are
-memoized.
+The agent makes one decision per access, in order, so every operation
+touches one 4-wide row per sub-table; list indexing beats small-array
+numpy dispatch by several times at that grain (DESIGN.md §9 records
+why there is no vectorized twin).  This class is the golden reference
+every committed artifact was generated with.  Row indices (4 hashes per
+feature value) are memoized.
 """
 
 from __future__ import annotations
@@ -351,27 +348,6 @@ class QTable:
                 elif value > hi:
                     value = hi
                 row[action] = value
-
-    # --- batch surface (reference loops; the numpy backend vectorizes these) ------
-
-    def best_actions(self, states, legal: Sequence[int]) -> List[int]:
-        """Reference batch decide: the definitional per-record loop.
-
-        :class:`~repro.core.qtable_np.QTableNumpy` overrides this with
-        a vectorized kernel; keeping the loop here lets chunk-grained
-        callers use one code path on either backend.
-        """
-        return [self.best_action(s, legal) for s in states]
-
-    def apply_deltas(
-        self,
-        states: Sequence[Sequence[int]],
-        actions: Sequence[int],
-        deltas: Sequence[float],
-    ) -> None:
-        """Reference batch update: sequential per-record loop."""
-        for state, action, delta in zip(states, actions, deltas):
-            self.apply_delta(state, action, delta)
 
     # --- persistence -----------------------------------------------------------------
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Tuple
 
-from ..core.backend import make_qtable
 from ..core.config import (
     ACTION_BYPASS,
     ACTION_EPV_HIGH,
@@ -45,6 +44,7 @@ from ..core.config import (
     ChromeConfig,
 )
 from ..core.eq import EQEntry, EvaluationQueue, hash_block_address
+from ..core.qtable import QTable
 from ..sim.replacement.optgen import choose_sampled_sets
 
 
@@ -61,7 +61,7 @@ class AgentCore:
         self, config: ChromeConfig, num_features: int, rng_seed: int
     ) -> None:
         self.config = config
-        self.qtable = make_qtable(num_features, config)
+        self.qtable = QTable(num_features, config)
         self.eq = EvaluationQueue(config.sampled_sets, config.eq_fifo_size)
         self._rng = random.Random(rng_seed)
         # Hot-path hoists: the bound RNG method and the (construction-

@@ -64,9 +64,8 @@ class Environment(ABC):
     Implementations are *one-shot*: construct from a frozen spec, call
     :meth:`run` once, read the results.  Determinism is part of the
     contract — two instances built from the same spec must produce
-    equal :meth:`run` results and equal :meth:`agent_states`, on either
-    Q-table backend (the conformance suite pins both claims for every
-    registered adapter).
+    equal :meth:`run` results and equal :meth:`agent_states` (the
+    conformance suite pins both claims for every registered adapter).
     """
 
     #: registry id ("sim", "serve", "cluster", "toy", ...)

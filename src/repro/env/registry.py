@@ -1,11 +1,11 @@
 """Environment adapter registry.
 
 Adapters register a *factory* under their domain name; factories accept
-keyword overrides (scale knobs, seeds, ``backend``) and return a fresh
+keyword overrides (scale knobs, seeds) and return a fresh
 :class:`~repro.env.protocol.Environment`.  The conformance suite
 (``tests/test_env_protocol.py``) parametrizes over every registered
 name, so registering an adapter is what buys it the protocol
-guarantees (determinism, save/restore round-trip, backend identity).
+guarantees (determinism, save/restore round-trip).
 
 Importing :mod:`repro.env` eagerly registers the built-in adapters
 (sim, serve, cluster, toy) — same discipline as the experiment

@@ -87,7 +87,6 @@ class ToyRowCacheEnvironment(Environment):
         row_space: int = 512,
         seed: int = 0,
         epsilon: float | None = None,
-        backend: str | None = None,
     ) -> None:
         from dataclasses import replace
 
@@ -98,7 +97,7 @@ class ToyRowCacheEnvironment(Environment):
         self._row_space = row_space
         self._seed = seed
         self.features = ToyRowFeatureExtractor()
-        config = replace(ChromeConfig(), sampled_sets=num_banks, backend=backend)
+        config = replace(ChromeConfig(), sampled_sets=num_banks)
         if epsilon is not None:
             config = replace(config, epsilon=epsilon)
         self.agent = AgentCore(

@@ -959,15 +959,8 @@ for _id, _fn, _plan in (
     register_experiment(_id, _fn, plan=_plan)
 
 
-def _register_ablations() -> None:
-    """Deprecated shim: ablations now register eagerly when
-    :mod:`repro.experiments` (or this module's package) is imported."""
-    from . import ablations  # noqa: F401  (import triggers registration)
-
-
 def run_experiment(experiment_id: str, runner: Runner | None = None) -> ExperimentResult:
     """Regenerate one paper artifact (or ablation) by id."""
-    _register_ablations()
     try:
         fn = EXPERIMENTS[experiment_id]
     except KeyError:

@@ -34,8 +34,9 @@ from .runner import ExperimentScale, chrome_with, resolve_policy, scaled_sampled
 
 #: Bump when simulator/policy semantics change in a way that should
 #: invalidate previously cached simulation results (see
-#: :mod:`repro.experiments.result_cache`).
-CODE_VERSION = "1"
+#: :mod:`repro.experiments.result_cache`).  "2": GAP graphs are seeded
+#: by crc32 instead of the per-process salted ``hash()``.
+CODE_VERSION = "2"
 
 
 @dataclass(frozen=True)

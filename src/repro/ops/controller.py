@@ -36,16 +36,14 @@ process boundaries (the ``ops_determinism`` golden pins whole runs).
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import ACTION_BYPASS
 from ..obs.signals import SignalReader, WindowSignals
 from ..serve.config import LatencyConfig, ServiceConfig
-from ..serve.metrics import MetricsRecorder, ServeMetrics
-from ..serve.service import CacheService, _drive, replay_requests
-from ..serve.store import ObjectStore
+from ..serve.metrics import ServeMetrics
+from ..serve.service import CacheService, build_service, drive_requests
 from ..serve.workloads import Request
 from .config import OpsConfig
 from .events import (
@@ -349,32 +347,14 @@ def run_ops(
 ) -> OpsResult:
     """Run a single champion service under the ops control loop.
 
-    Mirrors :func:`~repro.serve.service.run_configured` exactly — with
-    an all-defaults (inert) :class:`OpsConfig` the champion metrics are
-    byte-identical to a plain ``run_configured`` run, and with a shadow
+    Shares :func:`~repro.serve.service.run_configured`'s assembly and
+    driver, adding only the controller — with an all-defaults (inert)
+    :class:`OpsConfig` the champion metrics are byte-identical to a
+    plain ``run_configured`` run, and with a shadow
     attached they *still* are (the zero-impact contract the ops tests
     and goldens pin).
     """
-    policy = config.build_policy()
-    recorder = MetricsRecorder(
-        policy=policy.name,
-        workload=config.workload_name,
-        checkpoint_every=config.checkpoint_every,
-    )
-    store = ObjectStore(config.capacity_bytes, config.num_segments, policy)
-    service = CacheService(
-        store,
-        recorder=recorder,
-        warmup_requests=config.warmup_requests,
-        obs=obs,
-        config=config,
-    )
-    from ..core.backend import resolve_backend
-
-    if resolve_backend(config.backend) == "numpy":
-        keys = [req.key for req in requests]
-        for start in range(0, len(keys), 4096):
-            store.preclassify(keys[start : start + 4096])
+    service = build_service(config, obs=obs)
     shadow = ShadowHarness(config, ops) if ops.shadow_enabled else None
     controller = OpsController(
         service,
@@ -383,14 +363,8 @@ def run_ops(
         shadow=shadow,
         obs=obs,
     )
-    if config.num_clients <= 1:
-        replay_requests(service, requests)
-    else:
-        asyncio.run(_drive(service, requests, config.num_clients))
-    metrics = recorder.finalize()
-    metrics.telemetry = dict(policy.telemetry())
-    service.obs_summary(metrics)
-    return controller.result(metrics)
+    drive_requests(service, requests, config.num_clients)
+    return controller.result(service.finalize())
 
 
 def run_cluster_ops(
@@ -442,8 +416,5 @@ def run_cluster_ops(
         shadow=shadow,
         obs=obs,
     )
-    if config.num_clients <= 1:
-        replay_requests(cluster, requests)
-    else:
-        asyncio.run(_drive(cluster, requests, config.num_clients))
+    drive_requests(cluster, requests, config.num_clients)
     return controller.result(cluster.finalize())

@@ -63,6 +63,4 @@ class ShadowHarness:
         return self.service.agent_states()
 
     def finalize(self) -> ServeMetrics:
-        metrics = self.recorder.finalize()
-        metrics.telemetry = dict(self.policy.telemetry())
-        return metrics
+        return self.service.finalize()

@@ -32,7 +32,6 @@ evicting useless bytes exactly where misses hurt most.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from ..core.config import (
@@ -307,11 +306,8 @@ class ChromeServePolicy(ServePolicy):
         config: Optional[ChromeConfig] = None,
         seed: int = 0,
         agent: Optional[ServeAgent] = None,
-        backend: Optional[str] = None,
     ) -> None:
         super().__init__()
-        if backend is not None and agent is None:
-            config = replace(config or ChromeConfig(), backend=backend)
         self.agent = agent or ServeAgent(config, seed=seed)
         self._pending_epv: Optional[Tuple[int, int]] = None  # (key, epv)
 

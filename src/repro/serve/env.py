@@ -12,7 +12,7 @@ reachable after the run.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.persistence import agent_state
 from ..env.driver import restore_agent_state
@@ -39,7 +39,6 @@ class ServeEnvironment(Environment):
         num_segments: int = 64,
         num_clients: int = 1,
         seed: int = 17,
-        backend: Optional[str] = None,
         fault_params=(),
         resilience_params=(),
     ) -> None:
@@ -52,7 +51,6 @@ class ServeEnvironment(Environment):
             warmup_requests=warmup_requests,
             seed=seed,
             workload_name=workload,
-            backend=backend,
             fault_params=tuple(fault_params),
             resilience_params=tuple(resilience_params),
         )

@@ -450,6 +450,13 @@ class CacheService:
                         f"breaker.{state}", ts_us, args={"tenant": tenant}
                     )
 
+    def finalize(self) -> ServeMetrics:
+        """Close the recorder: final metrics plus policy telemetry."""
+        metrics = self.recorder.finalize()
+        metrics.telemetry = dict(self.store.policy.telemetry())
+        self.obs_summary(metrics)
+        return metrics
+
     def obs_summary(self, metrics: ServeMetrics) -> None:
         """Record the end-of-run summary row (called after finalize)."""
         obs = self._obs
@@ -527,6 +534,46 @@ def replay_requests(
         process(seq, req)
 
 
+def drive_requests(service, requests: Sequence[Request], num_clients: int) -> None:
+    """Feed a stream through anything with the ``process`` surface.
+
+    One client takes the synchronous reference loop; more run the
+    sequenced async driver.  Results are identical either way.
+    """
+    if num_clients <= 1:
+        replay_requests(service, requests)
+    else:
+        asyncio.run(_drive(service, requests, num_clients))
+
+
+def build_service(
+    config: ServiceConfig,
+    *,
+    policy: Optional[ServePolicy] = None,
+    obs=None,
+) -> CacheService:
+    """A fresh recorder, store and service for one config.
+
+    ``policy`` optionally supplies a pre-built policy instance (warm
+    starts); when omitted the config builds its own.
+    """
+    if policy is None:
+        policy = config.build_policy()
+    recorder = MetricsRecorder(
+        policy=policy.name,
+        workload=config.workload_name,
+        checkpoint_every=config.checkpoint_every,
+    )
+    store = ObjectStore(config.capacity_bytes, config.num_segments, policy)
+    return CacheService(
+        store,
+        recorder=recorder,
+        warmup_requests=config.warmup_requests,
+        obs=obs,
+        config=config,
+    )
+
+
 def run_configured(
     requests: Sequence[Request],
     config: ServiceConfig,
@@ -554,40 +601,9 @@ def run_configured(
     caller's job (see :meth:`ServeJob.execute
     <repro.serve.jobs.ServeJob>`).
     """
-    if policy is None:
-        policy = config.build_policy()
-    recorder = MetricsRecorder(
-        policy=policy.name,
-        workload=config.workload_name,
-        checkpoint_every=config.checkpoint_every,
-    )
-    store = ObjectStore(config.capacity_bytes, config.num_segments, policy)
-    service = CacheService(
-        store,
-        recorder=recorder,
-        warmup_requests=config.warmup_requests,
-        obs=obs,
-        config=config,
-    )
-    from ..core.backend import resolve_backend
-
-    if resolve_backend(config.backend) == "numpy":
-        # Chunked pre-classification (numpy backend): hash each chunk
-        # of request keys into the store's segment memo in one
-        # vectorized sweep, so both drivers' per-request segment_of
-        # calls become dict hits.  Purely a throughput knob — the memo
-        # holds exactly what the scalar hash returns.
-        keys = [req.key for req in requests]
-        for start in range(0, len(keys), 4096):
-            store.preclassify(keys[start : start + 4096])
-    if config.num_clients <= 1:
-        replay_requests(service, requests)
-    else:
-        asyncio.run(_drive(service, requests, config.num_clients))
-    metrics = recorder.finalize()
-    metrics.telemetry = dict(policy.telemetry())
-    service.obs_summary(metrics)
-    return metrics
+    service = build_service(config, policy=policy, obs=obs)
+    drive_requests(service, requests, config.num_clients)
+    return service.finalize()
 
 
 def run_service(

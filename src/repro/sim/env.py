@@ -16,7 +16,7 @@ the protocol's run/snapshot contract onto the existing machinery:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.chrome import ChromePolicy
 from ..core.config import ChromeConfig
@@ -44,7 +44,6 @@ class SimEnvironment(Environment):
         seed: int = 7,
         scale: float = 1 / 64,
         sampled_sets: int = 16,
-        backend: Optional[str] = None,
     ) -> None:
         self._workload = workload
         self._accesses = accesses_per_core
@@ -52,10 +51,10 @@ class SimEnvironment(Environment):
         self._seed = seed
         self._scale = scale
         self.policy = ChromePolicy(
-            replace(ChromeConfig(), sampled_sets=sampled_sets, backend=backend)
+            replace(ChromeConfig(), sampled_sets=sampled_sets)
         )
         self.system = MultiCoreSystem(
-            SystemConfig(num_cores=num_cores, scale=scale, backend=backend),
+            SystemConfig(num_cores=num_cores, scale=scale),
             llc_policy=self.policy,
         )
 

@@ -163,18 +163,18 @@ def test_ops_window_defaults_to_sixteenth_of_run():
 
 
 @pytest.mark.parametrize("command", ["cluster", "ops"])
-def test_obs_and_backend_flags_are_uniform(command, monkeypatch, tmp_path):
+def test_obs_flags_are_uniform(command, monkeypatch, tmp_path):
     from repro.cli import _obs_config_from_args
 
     args = _parse([command])
-    assert args.backend is None
     assert _obs_config_from_args(args) is None
     args = _parse([command, "--obs"])
     assert _obs_config_from_args(args).out_dir == "obs-artifacts"
     target = str(tmp_path / "artifacts")
-    args = _parse([command, "--obs-dir", target, "--backend", "numpy"])
+    args = _parse([command, "--obs-dir", target])
     assert _obs_config_from_args(args).out_dir == target  # implies --obs
-    assert args.backend == "numpy"
+    with pytest.raises(SystemExit):  # one Q-table: no backend selector
+        _parse([command, "--backend", "numpy"])
 
 
 def test_ops_cli_end_to_end_guarded_run(capsys):

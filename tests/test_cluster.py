@@ -153,24 +153,21 @@ def test_object_store_supports_multiple_evict_listeners():
     assert seen_a and seen_a == seen_b
 
 
-def test_evict_listener_property_keeps_single_subscriber_semantics():
+def test_evict_listeners_fire_in_registration_order():
     config = ServiceConfig.from_params(
         capacity_bytes=1 << 16, num_segments=4, policy="lru", seed=0
     )
     store = config.build_store()
-    assert store.evict_listener is None
-    first, second = [], []
-    store.evict_listener = first.append
-    store.add_evict_listener(second.append)
-    assert store.evict_listener is not None
-    # the property setter replaces the whole subscriber list (the old
-    # single-listener clobbering contract)
-    store.evict_listener = second.append
     assert isinstance(store, ObjectStore)
+    calls = []
+    store.add_evict_listener(lambda obj: calls.append(("first", obj.key)))
+    store.add_evict_listener(lambda obj: calls.append(("second", obj.key)))
     for req in build_workload("zipf_scan", 800, seed=2):
         if not store.lookup(req):
             store.admit(req)
-    assert second and not first
+    assert calls
+    assert [tag for tag, _ in calls] == ["first", "second"] * (len(calls) // 2)
+    assert [key for _, key in calls[::2]] == [key for _, key in calls[1::2]]
 
 
 # --- federation ---------------------------------------------------------------

@@ -14,9 +14,7 @@ automatically.  The suite pins the contract every adapter must honor:
   ``load_agent_states``: a full restore (``keep_rng=False``)
   reproduces the snapshot byte-for-byte; a hot swap
   (``keep_rng=True``) transfers Q-values while the live agent keeps
-  its own RNG stream and lookup/update counters;
-* **backend byte-identity** — when numpy is available, the numpy
-  backend reproduces the scalar result exactly.
+  its own RNG stream and lookup/update counters.
 
 Small overrides keep each adapter's run to a few thousand steps so the
 whole matrix stays test-suite fast.
@@ -31,13 +29,6 @@ import pytest
 
 from repro.env import available_environments, build_environment
 
-
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 #: per-adapter overrides to keep conformance runs small
 SMALL = {
@@ -129,14 +120,6 @@ def test_env_snapshot_restore_resumes_identically(name):
     twin = build_small(name)
     twin.load_agent_states(states, keep_rng=False)
     assert twin.agent_states() == env.agent_states()
-
-
-@pytest.mark.skipif(not _numpy_available(), reason="numpy not installed")
-@pytest.mark.parametrize("name", environments())
-def test_env_backend_byte_identity(name):
-    scalar = build_small(name, backend="scalar").run()
-    vector = build_small(name, backend="numpy").run()
-    assert scalar == vector
 
 
 # --- engine integration ---------------------------------------------------------

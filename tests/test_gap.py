@@ -1,5 +1,10 @@
 """Unit tests for the GAP graph-kernel trace generators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -76,6 +81,37 @@ def test_traces_deterministic_per_seed():
     a = list(build_gap_trace("sssp-tw", 500, seed=3, num_vertices=256))
     b = list(build_gap_trace("sssp-tw", 500, seed=3, num_vertices=256))
     assert a == b
+
+
+_TRACE_DIGEST = """
+import hashlib
+from repro.traces.gap import build_gap_trace
+trace = build_gap_trace("bfs-tw", 400, seed=1, num_vertices=256, avg_degree=4)
+print(hashlib.sha256(repr(list(trace)).encode()).hexdigest())
+"""
+
+
+def _trace_digest(hash_seed: str) -> str:
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACE_DIGEST],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.strip()
+
+
+def test_traces_identical_across_interpreter_hash_seeds():
+    """The graph seed must not depend on per-process string hashing."""
+    assert _trace_digest("0") == _trace_digest("3")
 
 
 def test_pr_sweeps_offsets_sequentially():
