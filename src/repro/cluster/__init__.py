@@ -9,8 +9,8 @@ kills are FaultConfig outage windows evaluated in virtual time, so the
 ring reroutes and heals bit-identically at any client count; hot keys
 are detected by windowed top-k (:mod:`.hotkeys`) and split across
 replicas; and the shards' Q-tables are periodically merged by
-entrywise averaging (:mod:`.federate`) built on the PR 3
-``state_dict`` persistence layer — the fleet learns faster than any
+entrywise averaging (:mod:`.federate`) of their flat
+``QTable.values()`` lists — the fleet learns faster than any
 isolated shard (the bench gate pins this).
 
 Importing this package registers the ``cluster`` experiment with the

@@ -20,6 +20,7 @@ mismatched kinds/geometry instead of silently mislearning.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import Any, Dict
@@ -62,34 +63,36 @@ def agent_state(agent, kind: str) -> Dict[str, Any]:
     }
 
 
-def _iter_leaves(values):
-    """Yield every scalar leaf of an arbitrarily nested list."""
-    for value in values:
-        if isinstance(value, list):
-            yield from _iter_leaves(value)
-        else:
-            yield value
-
-
 def _validate_qtable_grid(agent, qtable_state: Dict[str, Any]) -> None:
-    """Refuse snapshots whose values fall off the live fixed-point grid.
+    """Refuse snapshots whose values are not live fixed-point Q-values.
 
     The config fingerprint pins the grid's *parameters*, but a snapshot
     produced by a different build (or corrupted in transit) can still
-    carry values that are not representable on this config's
+    carry the wrong number of values, non-numbers, infinities, NaNs, or
+    values that are not representable on this config's
     ``quantum``-spaced, ``q_value_bits``-clamped lattice.  The scalar
-    :class:`~repro.core.qtable.QTable` would load them silently and
-    then drift — every subsequent update rounds *deltas*, not totals,
-    so an off-grid table never converges back onto the lattice and its
-    decisions stop matching the run that produced the snapshot.
-    Rejecting here turns that silent corruption into an immediate,
-    explicit error before any live state is touched.
+    :class:`~repro.core.qtable.QTable` would load off-grid values
+    silently and then drift — every subsequent update rounds *deltas*,
+    not totals, so an off-grid table never converges back onto the
+    lattice and its decisions stop matching the run that produced the
+    snapshot.  Rejecting here turns that silent corruption into an
+    immediate, explicit error before any live state is touched.  A
+    table holds few distinct values, so each is checked once.
     """
+    values = agent.qtable.checked_values(qtable_state)
     config = agent.config
     quantum = 1.0 / (1 << config.q_fixed_point_fraction_bits)
     limit = (1 << (config.q_value_bits - 1)) * quantum
     lo, hi = -limit, limit - quantum
-    for value in _iter_leaves(qtable_state.get("tables", [])):
+    try:
+        distinct = set(values)
+    except TypeError:  # an unhashable entry is not a number either
+        distinct = values
+    for value in distinct:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"snapshot Q-value {value!r} is not a number; refusing to load")
+        if not math.isfinite(value):
+            raise ValueError(f"snapshot Q-value {value!r} is not finite; refusing to load")
         tick = round(value / quantum)
         if tick * quantum != value:
             raise ValueError(

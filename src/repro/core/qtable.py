@@ -18,17 +18,20 @@ Hardware stores 16-bit fixed-point Q-values; we quantize to the same
 grid (``fraction_bits`` fractional bits) after every update so learning
 dynamics match the implementable design.
 
-Implementation note: storage here is plain nested lists, not numpy.
-The agent makes one decision per access, in order, so every operation
-touches one 4-wide row per sub-table; list indexing beats small-array
+Implementation note: storage here is one list of 4-wide row lists, not
+numpy.  The agent makes one decision per access, in order, so every
+operation touches one row per sub-table; list indexing beats small-array
 numpy dispatch by several times at that grain (DESIGN.md §9 records
 why there is no vectorized twin).  This class is the golden reference
 every committed artifact was generated with.  Row indices (4 hashes per
-feature value) are memoized.
+feature value) are memoized.  Learned state moves in and out as one
+flat value list (:meth:`QTable.values` / :meth:`QTable.load_values`).
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 from ..sim.address import mix_hash
@@ -46,6 +49,9 @@ _SUBTABLE_XOR = (
     0x9E3779B97F4A7C15,
 )
 
+#: :meth:`QTable.state_dict` format: a flat ``values`` list
+STATE_VERSION = 2
+
 
 class QTable:
     """Q-value storage for all observed feature-action pairs."""
@@ -59,7 +65,8 @@ class QTable:
         "_quantum",
         "_clamp",
         "_init_q",
-        "_tables",
+        "_rows",
+        "_row_offsets",
         "_index_cache",
         "_row_caches",
         "lookups",
@@ -82,13 +89,19 @@ class QTable:
         init = config.optimistic_q / self.num_subtables
         init = round(init / self._quantum) * self._quantum
         self._init_q = init
-        # tables[feature][subtable][row] -> [q per action]
-        self._tables: List[List[List[List[float]]]] = [
-            [
-                [[init] * NUM_ACTIONS for _ in range(self.rows)]
-                for _ in range(self.num_subtables)
-            ]
-            for _ in range(num_features)
+        # One [q per action] row per (feature, sub-table, row), flattened
+        # in that order: the row for (f, k, r) is
+        # _rows[_row_offsets[f][k] + r].
+        self._rows: List[List[float]] = [
+            [init] * NUM_ACTIONS
+            for _ in range(num_features * self.num_subtables * self.rows)
+        ]
+        self._row_offsets = [
+            tuple(
+                (f * self.num_subtables + k) * self.rows
+                for k in range(self.num_subtables)
+            )
+            for f in range(num_features)
         ]
         # feature value -> per-sub-table row indices (hashing is pure, so
         # the cache is exact; it is bounded by the feature bit-widths).
@@ -123,10 +136,10 @@ class QTable:
         cache = self._row_caches[feature_idx]
         rows = cache.get(feature_value)
         if rows is None:
-            tables = self._tables[feature_idx]
-            rows = tuple(
-                tables[k][idx] for k, idx in enumerate(self._row_indices(feature_value))
+            indices = map(
+                add, self._row_offsets[feature_idx], self._row_indices(feature_value)
             )
+            rows = tuple(map(self._rows.__getitem__, indices))
             if len(cache) < (1 << 20):
                 cache[feature_value] = rows
         return rows
@@ -351,36 +364,55 @@ class QTable:
 
     # --- persistence -----------------------------------------------------------------
 
+    def values(self) -> List[float]:
+        """Every stored Q-value as one flat list.
+
+        Order is (feature, sub-table, row, action); this is the only
+        transfer format for learned state (snapshots, federation,
+        rollback).
+        """
+        return list(chain.from_iterable(self._rows))
+
+    def load_values(self, values: Sequence[float]) -> None:
+        """Overwrite every stored Q-value from a :meth:`values` list.
+
+        Rows are written in place, so the memoized row caches stay
+        valid and the next lookup serves the loaded values.  Counters
+        are untouched.
+        """
+        n = NUM_ACTIONS
+        expected = len(self._rows) * n
+        if len(values) != expected:
+            raise ValueError(f"QTable holds {expected} Q-values, got {len(values)}")
+        for start, row in zip(range(0, expected, n), self._rows):
+            row[:] = values[start:start + n]
+
     def state_dict(self) -> dict:
         """Complete, JSON-serializable learned state.
 
-        Stores the raw per-sub-table partial values (plain floats —
-        JSON round-trips Python floats exactly), the geometry needed to
-        validate a load, and the lookup/update counters.
+        Stores the flat :meth:`values` (plain floats — JSON round-trips
+        Python floats exactly), the geometry needed to validate a load,
+        and the lookup/update counters.
         """
         return {
-            "version": 1,
+            "version": STATE_VERSION,
             "num_features": self.num_features,
             "num_subtables": self.num_subtables,
             "rows": self.rows,
             "num_actions": NUM_ACTIONS,
-            "tables": [
-                [[list(row) for row in subtable] for subtable in feature]
-                for feature in self._tables
-            ],
+            "values": self.values(),
             "lookups": self.lookups,
             "updates": self.updates,
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (bit-identical q_values).
-
-        The table geometry must match this instance's construction; the
-        memoized row caches are rebuilt lazily, so restored values are
-        served on the very next lookup.
-        """
-        if state.get("version") != 1:
-            raise ValueError(f"unsupported QTable state version {state.get('version')!r}")
+    def checked_values(self, state: dict) -> list:
+        """The ``values`` of a :meth:`state_dict` after version, geometry
+        and length checks (raises ``ValueError`` on any mismatch)."""
+        if state.get("version") != STATE_VERSION:
+            raise ValueError(
+                f"unsupported QTable state version {state.get('version')!r} "
+                f"(this build reads version {STATE_VERSION})"
+            )
         expected = {
             "num_features": self.num_features,
             "num_subtables": self.num_subtables,
@@ -392,15 +424,27 @@ class QTable:
         }
         if mismatched:
             raise ValueError(f"QTable geometry mismatch on load: {mismatched}")
-        tables = state["tables"]
-        self._tables = [
-            [[list(row) for row in subtable] for subtable in feature]
-            for feature in tables
-        ]
-        # Row caches hold live references into the replaced tables.
-        self._row_caches = [{} for _ in range(self.num_features)]
-        self.lookups = int(state.get("lookups", 0))
-        self.updates = int(state.get("updates", 0))
+        values = state.get("values")
+        count = len(self._rows) * NUM_ACTIONS
+        if not isinstance(values, list) or len(values) != count:
+            got = len(values) if isinstance(values, list) else type(values).__name__
+            raise ValueError(
+                f"QTable state must hold {count} Q-values in 'values', got {got}"
+            )
+        return values
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output (bit-identical q_values).
+
+        Every check runs before any live state changes; the values are
+        then written in place (see :meth:`load_values`).
+        """
+        values = self.checked_values(state)
+        lookups = int(state.get("lookups", 0))
+        updates = int(state.get("updates", 0))
+        self.load_values(values)
+        self.lookups = lookups
+        self.updates = updates
 
     # --- introspection ---------------------------------------------------------------
 
@@ -426,18 +470,11 @@ class QTable:
         Walks every entry, so callers sample this at run boundaries,
         not per epoch.
         """
-        init = self._init_q
+        values = self.values()
         lo, hi = self._clamp
-        total = touched = saturated = 0
-        for feature in self._tables:
-            for subtable in feature:
-                for row in subtable:
-                    for v in row:
-                        if v != init:
-                            touched += 1
-                        if v <= lo or v >= hi:
-                            saturated += 1
-                    total += len(row)
+        total = len(values)
+        touched = total - values.count(self._init_q)
+        saturated = sum(1 for v in values if v <= lo or v >= hi)
         return {
             "q_entries": total,
             "q_coverage": touched / total if total else 0.0,
@@ -447,32 +484,17 @@ class QTable:
         }
 
     def snapshot_stats(self) -> dict:
-        """Streaming min/max/mean over every stored Q-value.
+        """Min/max/mean over every stored Q-value.
 
-        Walks the tables row by row instead of materializing the full
-        value list (features x sub-tables x rows x actions floats); the
-        accumulation visits values in the same order as the old
-        list-comprehension form, so the mean is bit-identical.
+        Every value is a multiple of the fixed-point quantum with at most
+        ``q_value_bits`` bits, so the sum is exact in any summation order
+        and the mean is bit-identical however it is accumulated.
         """
-        q_min = q_max = None
-        total = 0.0
-        count = 0
-        for feature in self._tables:
-            for subtable in feature:
-                for row in subtable:
-                    for v in row:
-                        total += v
-                        if q_min is None:
-                            q_min = q_max = v
-                        elif v < q_min:
-                            q_min = v
-                        elif v > q_max:
-                            q_max = v
-                    count += len(row)
+        values = self.values()
         return {
             "lookups": self.lookups,
             "updates": self.updates,
-            "q_min": q_min,
-            "q_max": q_max,
-            "q_mean": total / count,
+            "q_min": min(values),
+            "q_max": max(values),
+            "q_mean": sum(values) / len(values),
         }

@@ -233,7 +233,7 @@ def restore_agent_state(
 
     ``keep_rng=False`` (rollback) restores the snapshot completely —
     Q-table, counters and exploration RNG.  ``keep_rng=True``
-    (promotion / injection / federation) swaps only the Q-table
+    (promotion / injection) swaps only the Q-table
     values: the live agent keeps its own RNG stream and lookup/update
     counters, so a mid-run swap never replays another agent's
     exploration randomness.  This is the single implementation of the

@@ -81,11 +81,8 @@ def sabotaged_states(states: List[dict]) -> List[dict]:
         hi, lo = limit - quantum, -limit
         qt = state["qtable"]
         row = [hi if a == ACTION_BYPASS else lo for a in range(qt["num_actions"])]
-        tables = [
-            [[list(row) for _ in subtable] for subtable in feature]
-            for feature in qt["tables"]
-        ]
-        out.append({**state, "qtable": {**qt, "tables": tables}})
+        values = row * (len(qt["values"]) // len(row))
+        out.append({**state, "qtable": {**qt, "values": values}})
     return out
 
 

@@ -1,8 +1,9 @@
 """Last-known-good agent snapshots: the ring auto-rollback restores from.
 
 The controller pushes full agent states (the
-:func:`~repro.core.persistence.agent_state` dict — Q-table, RNG,
-config fingerprint) into a bounded :class:`SnapshotRing` at healthy
+:func:`~repro.core.persistence.agent_state` dict — the Q-table as one
+flat value list, RNG, config fingerprint) into a bounded
+:class:`SnapshotRing` at healthy
 window boundaries; rollback loads the newest entry back.  Entries are
 *fleet-shaped*: one state per champion agent (length 1 for a single
 service, one per shard for a cluster), so a fleet rolls back all

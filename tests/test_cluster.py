@@ -2,10 +2,14 @@
 ring, hot-key detection, Q-table federation, fleet determinism under
 shard kills, and the federation-beats-isolated seeded smoke."""
 
+import itertools
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     ClusterJob,
@@ -15,6 +19,8 @@ from repro.cluster import (
     merge_qtable_states,
 )
 from repro.cluster.federate import federate_agents
+from repro.core.config import ChromeConfig
+from repro.core.qtable import QTable
 from repro.serve.config import ServiceConfig
 from repro.serve.service import run_configured
 from repro.serve.store import ObjectStore
@@ -201,17 +207,14 @@ def test_merge_is_deterministic_and_order_independent():
     assert merged == merge_qtable_states([sc, sb, sa], quantum)
     assert merged == merge_qtable_states([sb, sc, sa], quantum)
     # every merged value sits on the fixed-point grid
-    for feature in merged["tables"]:
-        for subtable in feature:
-            for row in subtable:
-                for v in row:
-                    assert v == round(v / quantum) * quantum
+    for v in merged["values"]:
+        assert v == round(v / quantum) * quantum
 
 
 def test_merge_of_one_is_identity():
     (a, sa), = _trained_states([5])
     merged = merge_qtable_states([sa], a.qtable._quantum)
-    assert merged["tables"] == sa["tables"]
+    assert merged["values"] == sa["values"]
 
 
 def test_merge_rejects_empty_and_mismatched_geometry():
@@ -236,23 +239,74 @@ def test_save_merge_restore_round_trips_bit_identically(tmp_path):
     path = tmp_path / "merged-agent.json"
     a.save(path)
     b.restore(path)
-    assert b.qtable.state_dict()["tables"] == merged["tables"]
+    assert b.qtable.values() == merged["values"]
     # merging already-merged tables is a fixed point
     again = merge_qtable_states(
         [a.qtable.state_dict(), b.qtable.state_dict()], quantum
     )
-    assert again["tables"] == merged["tables"]
+    assert again["values"] == merged["values"]
 
 
 def test_federate_agents_syncs_tables_and_keeps_local_counters():
     (a, _), (b, _) = _trained_states([9, 10])
     lookups = (a.qtable.lookups, b.qtable.lookups)
     merged = federate_agents([a, b])
-    assert a.qtable.state_dict()["tables"] == merged["tables"]
-    assert b.qtable.state_dict()["tables"] == merged["tables"]
+    assert a.qtable.values() == merged
+    assert b.qtable.values() == merged
     assert (a.qtable.lookups, b.qtable.lookups) == lookups
     with pytest.raises(ValueError):
         federate_agents([])
+
+
+def test_federate_agents_refreshes_rows_cached_before_the_round():
+    a, b = (SimpleNamespace(qtable=QTable(2, ChromeConfig())) for _ in range(2))
+    state = (42, 43)
+    b.qtable.apply_delta(state, 1, 8.0)
+    before = a.qtable.q(state, 1)  # a memoizes both feature values' rows
+    merged = federate_agents([a, b])
+    reference = QTable(2, ChromeConfig())
+    reference.load_values(merged)
+    assert a.qtable.q(state, 1) == reference.q(state, 1) != before
+    assert a.qtable.q_values(state) == reference.q_values(state)
+
+
+def _sorted_sum_merge(value_lists, quantum):
+    """The per-entry merge used before flat states: sort, then sum."""
+    n = len(value_lists)
+    out = []
+    for column in zip(*value_lists):
+        total = 0.0
+        for v in sorted(column):
+            total += v
+        out.append(round(total / n / quantum) * quantum)
+    return out
+
+
+_QUANTUM = 1.0 / (1 << ChromeConfig().q_fixed_point_fraction_bits)
+_TICKS = st.integers(-(1 << 15), (1 << 15) - 1)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_flat_merge_is_exact_under_every_shard_order(data):
+    """On-grid values sum exactly, so no shard order changes a bit."""
+    shards = data.draw(st.integers(1, 4))
+    length = data.draw(st.integers(1, 24))
+    states = [
+        {
+            "version": 2, "num_features": 1, "num_subtables": 1,
+            "rows": length, "num_actions": 1,
+            "values": [k * _QUANTUM for k in data.draw(
+                st.lists(_TICKS, min_size=length, max_size=length))],
+        }
+        for _ in range(shards)
+    ]
+    bits = [v.hex() for v in merge_qtable_states(states, _QUANTUM)["values"]]
+    for order in itertools.permutations(states):
+        merged = merge_qtable_states(list(order), _QUANTUM)["values"]
+        assert [v.hex() for v in merged] == bits
+    reference = _sorted_sum_merge([s["values"] for s in states], _QUANTUM)
+    assert [v.hex() for v in reference] == bits
 
 
 # --- cluster determinism ------------------------------------------------------

@@ -103,7 +103,7 @@ def test_env_snapshot_hot_swap_keeps_rng(name):
 
     for prev, now, snap in zip(before, after, states):
         # Q-values transferred from the snapshot...
-        assert now["qtable"]["tables"] == snap["qtable"]["tables"]
+        assert now["qtable"]["values"] == snap["qtable"]["values"]
         # ...but the live agent kept its own RNG stream and counters.
         assert now["rng_state"] == prev["rng_state"]
         assert now["qtable"]["lookups"] == prev["qtable"]["lookups"]

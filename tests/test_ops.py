@@ -337,7 +337,7 @@ def test_sabotaged_states_load_through_grid_validation():
     replay_requests(service, _zipf_requests(800))
     trained = service.agent_states()
     bad = sabotaged_states(trained)
-    assert bad[0]["qtable"]["tables"] != trained[0]["qtable"]["tables"]
+    assert bad[0]["qtable"]["values"] != trained[0]["qtable"]["values"]
     # both clamp bounds sit on the grid: loads cleanly through the
     # grid-validated persistence path, and survives JSON
     service.load_agent_states(bad, keep_rng=True)
@@ -454,10 +454,10 @@ def test_cluster_broadcast_load_replicates_one_state_fleet_wide():
     # broadcast a recognizably distinct single state (the sabotage
     # shape) and every shard must adopt it
     bad = sabotaged_states([states[0]])
-    assert bad[0]["qtable"]["tables"] != states[0]["qtable"]["tables"]
+    assert bad[0]["qtable"]["values"] != states[0]["qtable"]["values"]
     cluster.load_agent_states(bad, keep_rng=True)
     for state in cluster.agent_states():
-        assert state["qtable"]["tables"] == bad[0]["qtable"]["tables"]
+        assert state["qtable"]["values"] == bad[0]["qtable"]["values"]
 
 
 # --- config plumbing ------------------------------------------------------------

@@ -8,6 +8,7 @@ agents restored from the same snapshot and fed the same stream stay
 bit-identical forever.
 """
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -203,7 +204,7 @@ def test_load_rejects_off_grid_qvalues():
     (the scalar table would accept and then drift off-grid forever)."""
     agent = ServeAgent(seed=1)
     state = agent_state(agent, kind="serve-agent")
-    state["qtable"]["tables"][0][0][0][0] = 0.1  # not a multiple of 2^-8
+    state["qtable"]["values"][0] = 0.1  # not a multiple of 2^-8
     fresh = ServeAgent(seed=1)
     with pytest.raises(ValueError, match="off the live fixed-point grid"):
         load_agent_state(fresh, state, kind="serve-agent")
@@ -216,7 +217,7 @@ def test_load_rejects_qvalues_beyond_clamp():
     quantum = 1.0 / (1 << config.q_fixed_point_fraction_bits)
     limit = (1 << (config.q_value_bits - 1)) * quantum
     # On-grid but one quantum past the clamp ceiling.
-    state["qtable"]["tables"][0][0][0][0] = limit
+    state["qtable"]["values"][0] = limit
     fresh = ServeAgent(seed=1)
     with pytest.raises(ValueError, match="exceeds the live clamp"):
         load_agent_state(fresh, state, kind="serve-agent")
@@ -231,3 +232,45 @@ def test_load_accepts_on_grid_snapshot_unchanged():
     fresh.attach(128)
     load_agent_state(fresh, state, kind="serve-agent")
     assert fresh.qtable.state_dict() == agent.qtable.state_dict()
+
+
+# --- malformed values are refused before any live state changes ---------------
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [float("inf"), float("-inf"), float("nan"), "0.5", None, True, [0.0]],
+    ids=["inf", "-inf", "nan", "str", "none", "bool", "list"],
+)
+def test_load_rejects_non_finite_and_non_numeric_qvalues(bad):
+    state = agent_state(ServeAgent(seed=1), kind="serve-agent")
+    state["qtable"]["values"][5] = bad
+    fresh = ServeAgent(seed=2)
+    before = agent_state(fresh, kind="serve-agent")
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        load_agent_state(fresh, state, kind="serve-agent")
+    assert agent_state(fresh, kind="serve-agent") == before
+
+
+@pytest.mark.parametrize("edit", ["short", "long", "empty"])
+def test_load_rejects_wrong_value_count(edit):
+    state = agent_state(ServeAgent(seed=1), kind="serve-agent")
+    values = state["qtable"]["values"]
+    expected = len(values)
+    state["qtable"]["values"] = {
+        "short": values[:-1], "long": values + [0.0], "empty": []
+    }[edit]
+    fresh = ServeAgent(seed=2)
+    before = agent_state(fresh, kind="serve-agent")
+    with pytest.raises(ValueError, match=f"{expected} Q-values"):
+        load_agent_state(fresh, state, kind="serve-agent")
+    assert agent_state(fresh, kind="serve-agent") == before
+
+
+def test_load_refuses_nested_version_1_tables():
+    state = agent_state(ServeAgent(seed=1), kind="serve-agent")
+    qtable = state["qtable"]
+    qtable["version"] = 1
+    qtable["tables"] = [[qtable.pop("values")]]
+    with pytest.raises(ValueError, match="version 1"):
+        load_agent_state(ServeAgent(seed=1), state, kind="serve-agent")

@@ -126,3 +126,47 @@ def test_too_many_subtables_rejected():
 
     with pytest.raises(ValueError):
         QTable(2, replace(ChromeConfig(), num_subtables=9))
+
+
+def test_values_round_trip_through_load_values():
+    qt, _ = _qtable()
+    qt.apply_delta((1, 2), 0, 3.0)
+    values = qt.values()
+    assert len(values) == 2 * 4 * 512 * NUM_ACTIONS
+    clone, _ = _qtable()
+    clone.q((1, 2), 0)  # cache the rows before the load
+    clone.load_values(values)
+    assert clone.values() == values
+    assert clone.q((1, 2), 0) == qt.q((1, 2), 0)
+
+
+def test_load_values_rejects_wrong_length_untouched():
+    qt, _ = _qtable()
+    before = qt.values()
+    for bad in (before[:-1], before + [0.0], []):
+        with pytest.raises(ValueError, match=str(len(before))):
+            qt.load_values(bad)
+    assert qt.values() == before
+
+
+def test_stats_walkers_match_sequential_reference():
+    import random
+
+    qt, _ = _qtable()
+    rng = random.Random(4)
+    for _ in range(500):
+        qt.apply_delta((rng.randrange(1 << 17), rng.randrange(1 << 16)),
+                       rng.randrange(NUM_ACTIONS), rng.uniform(-40.0, 40.0))
+    values = qt.values()
+    total = 0.0
+    for v in values:  # the accumulation order of the old nested walk
+        total += v
+    stats = qt.snapshot_stats()
+    assert stats["q_mean"].hex() == (total / len(values)).hex()
+    assert (stats["q_min"], stats["q_max"]) == (min(values), max(values))
+    lo, hi = qt._clamp
+    health = qt.health_stats()
+    assert health["q_entries"] == len(values)
+    assert health["q_coverage"] == sum(v != qt._init_q for v in values) / len(values)
+    assert health["q_saturation"] == sum(v <= lo or v >= hi for v in values) / len(values)
+    assert 0.0 < health["q_coverage"] < 1.0
