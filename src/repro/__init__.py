@@ -99,7 +99,6 @@ from .serve import (
     ServeMetrics,
     ServiceConfig,
     run_configured,
-    run_service,
 )
 from .sim.replacement import PAPER_SCHEMES, POLICY_REGISTRY, make_policy
 from .traces import (
@@ -112,7 +111,7 @@ from .traces import (
     homogeneous_mix,
 )
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ALL_SPEC_WORKLOADS",
@@ -171,7 +170,6 @@ __all__ = [
     "run_cluster",
     "run_configured",
     "run_experiment",
-    "run_service",
     "save_agent",
     "__version__",
 ]

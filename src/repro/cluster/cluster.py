@@ -11,7 +11,7 @@ state) behind a consistent-hash router
 The determinism argument is the serve layer's, applied once more:
 
 * the cluster exposes the same ``process(seq, req)`` surface as a
-  single service, so the *same* ticket-sequenced driver
+  single service, so the *same* driver
   (:func:`~repro.serve.service.drive_requests`) runs it —
   requests enter the router in global sequence order at any client
   count;
@@ -24,10 +24,10 @@ The determinism argument is the serve layer's, applied once more:
   bit-identically at ``num_clients=1`` and ``num_clients=64`` — the
   failover golden pins exactly this.
 
-Shards never flip their own warmup gates (they are built with a ``-1``
-sentinel): the cluster flips every shard recorder at the *global*
-warmup boundary, so per-shard and fleet metrics share one measurement
-window regardless of how traffic splits.
+The cluster flips every shard recorder at the *global* warmup
+boundary, so per-shard and fleet metrics share one measurement window
+regardless of how traffic splits (the one shard that also sees that
+request flips its own gate again, which changes nothing).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..serve.agent import restore_agents, snapshot_agents
 from ..serve.config import LatencyConfig, ServiceConfig
 from ..serve.faults import FaultConfig, FaultInjector
 from ..serve.metrics import (
@@ -43,7 +44,7 @@ from ..serve.metrics import (
     TenantMetrics,
     percentile,
 )
-from ..serve.service import CacheService, drive_requests
+from ..serve.service import CacheService, build_service, drive_requests
 from ..serve.workloads import Request
 from ..sim.address import mix_hash
 from .federate import federate_agents
@@ -117,31 +118,18 @@ class ClusterService:
             seed=mix_hash((config.seed << 4) ^ 0x51A6),
         )
         # N shards from one config: same shape, per-shard derived seeds
-        # (exploration RNG and origin-chaos streams never shared).
-        shard_base = replace(config, capacity_bytes=per_shard_capacity)
-        self.recorders: List[MetricsRecorder] = []
-        self.shards: List[CacheService] = []
-        self._policies = []
-        for idx in range(num_shards):
-            shard_cfg = shard_base.for_shard(idx)
-            policy = shard_cfg.build_policy()
-            recorder = MetricsRecorder(
-                policy=config.policy, workload=config.workload_name
-            )
-            store = shard_cfg.build_store(policy)
-            # warmup_requests=-1: the sentinel never equals a real seq,
-            # so the shard's own warmup flip never fires — the cluster
-            # flips all recorders at the global warmup boundary below.
-            self.shards.append(
-                CacheService(
-                    store,
-                    recorder=recorder,
-                    warmup_requests=-1,
-                    config=shard_cfg,
-                )
-            )
-            self.recorders.append(recorder)
-            self._policies.append(policy)
+        # (exploration RNG and origin-chaos streams never shared).  The
+        # fleet keeps the one checkpoint curve, so shards keep none.
+        shard_base = replace(
+            config, capacity_bytes=per_shard_capacity, checkpoint_every=0
+        )
+        self.shards: List[CacheService] = [
+            build_service(shard_base.for_shard(idx)) for idx in range(num_shards)
+        ]
+        self.recorders: List[MetricsRecorder] = [
+            shard.recorder for shard in self.shards
+        ]
+        self._policies = [shard.store.policy for shard in self.shards]
         # Shard-kill oracle: outage windows of a FaultConfig, evaluated
         # in virtual time — liveness is a pure function of now_ms.
         self._kill_shard = kill_shard if kill_faults is not None else -1
@@ -185,8 +173,6 @@ class ClusterService:
         self._fleet_bytes = 0
         self._fleet_bytes_hit = 0
         self._curve: List[Tuple[int, float, float]] = []
-        for recorder in self.recorders:
-            recorder.set_measuring(self._measuring)
         self._obs = obs
         if obs is not None:
             self._obs_window = max(1, obs.config.serve_window)
@@ -215,8 +201,8 @@ class ClusterService:
     def process(self, seq: int, req: Request) -> bool:
         """Route one request to its shard at its virtual arrival time.
 
-        Same contract as :meth:`CacheService.process`, so the ticket-
-        sequenced driver runs a cluster exactly as it runs one service.
+        Same contract as :meth:`CacheService.process`, so the driver
+        runs a cluster exactly as it runs one service.
         """
         if seq == self.warmup_requests:
             self._measuring = True
@@ -314,14 +300,7 @@ class ClusterService:
 
     def agent_states(self) -> List[dict]:
         """Snapshot every shard agent (index order) for the ops ring."""
-        if not self._agents:
-            raise ValueError(
-                f"policy {self.config.policy!r} has no learning agents; "
-                "ops hot-swap/rollback require a learned (chrome) fleet"
-            )
-        from ..core.persistence import agent_state
-
-        return [agent_state(a, kind="serve-agent") for a in self._agents]
+        return snapshot_agents(self._policies)
 
     def load_agent_states(self, states: List[dict], *, keep_rng: bool = False) -> None:
         """Swap learned state into the fleet at an epoch boundary.
@@ -334,21 +313,7 @@ class ClusterService:
         — promotion keeps each shard's own RNG stream and counters,
         rollback restores everything.
         """
-        if not self._agents:
-            raise ValueError(
-                f"policy {self.config.policy!r} has no learning agents; "
-                "ops hot-swap/rollback require a learned (chrome) fleet"
-            )
-        if len(states) == 1 and self.num_shards > 1:
-            states = states * self.num_shards
-        if len(states) != self.num_shards:
-            raise ValueError(
-                f"expected 1 or {self.num_shards} agent states, got {len(states)}"
-            )
-        from ..env.driver import restore_agent_state
-
-        for agent, state in zip(self._agents, states):
-            restore_agent_state(agent, state, "serve-agent", keep_rng=keep_rng)
+        restore_agents(self._policies, states, keep_rng=keep_rng)
 
     # --- observability --------------------------------------------------------------
 
@@ -356,12 +321,11 @@ class ClusterService:
         """One fleet timeline row per ``serve_window`` global requests."""
         obs = self._obs
         self._obs_next += self._obs_window
-        breaker_states: Dict[int, Dict[int, str]] = {}
+        breaker_states: Dict[str, Dict[int, str]] = {}
         for idx, shard in enumerate(self.shards):
-            if shard.resilience is not None:
-                states = shard.resilience.breaker_states()
-                if states:
-                    breaker_states[idx] = states
+            states = shard.resilience.breaker_states()
+            if states:
+                breaker_states[str(idx)] = states
         row = {
             "seq": seq,
             "now_ms": now_ms,
@@ -378,9 +342,7 @@ class ClusterService:
             ),
         }
         if breaker_states:
-            row["breaker_states"] = {
-                str(idx): states for idx, states in breaker_states.items()
-            }
+            row["breaker_states"] = breaker_states
         if self.hotkeys is not None:
             row["hot_keys"] = len(self.hotkeys.hot_keys)
         obs.timeline.record("cluster_window", **row)

@@ -16,8 +16,8 @@ mitigation, kept deterministic:
   shards.  Splitting trades some duplicate bytes for shard balance,
   exactly the trade real fleets make;
 * **eviction tap** — :meth:`HotKeyDetector.on_evict` subscribes to
-  each shard store's eviction stream (the multi-listener hook this PR
-  adds to :class:`~repro.serve.store.ObjectStore`) and counts hot keys
+  each shard store's eviction stream (the multi-listener hook of
+  :class:`~repro.serve.store.ObjectStore`) and counts hot keys
   being evicted: sustained hot evictions mean the split factor or the
   shard capacity is losing to the working set.
 """

@@ -43,7 +43,7 @@ from ..core.config import ACTION_BYPASS
 from ..obs.signals import SignalReader, WindowSignals
 from ..serve.config import LatencyConfig, ServiceConfig
 from ..serve.metrics import ServeMetrics
-from ..serve.service import CacheService, build_service, drive_requests
+from ..serve.service import build_service, drive_requests
 from ..serve.workloads import Request
 from .config import OpsConfig
 from .events import (

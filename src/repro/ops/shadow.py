@@ -7,7 +7,7 @@ request: a :class:`ShadowHarness` owns a fully isolated challenger
 store, own backend latency model, own recorder) built from
 :meth:`~repro.serve.config.ServiceConfig.for_challenger`, and the ops
 controller replays every champion request into it *after* the champion
-has processed it, inside the sequenced section.
+has processed it, in global sequence order.
 
 Isolation is structural, not disciplinary: the challenger holds no
 reference to any champion object, so it cannot affect served results —
@@ -22,8 +22,8 @@ promotion decision built on them) reproducible.
 from __future__ import annotations
 
 from ..serve.config import ServiceConfig
-from ..serve.metrics import MetricsRecorder, ServeMetrics
-from ..serve.service import CacheService
+from ..serve.metrics import ServeMetrics
+from ..serve.service import build_service
 from ..serve.workloads import Request
 from .config import OpsConfig
 
@@ -38,21 +38,12 @@ class ShadowHarness:
             policy=ops.challenger_policy,
             policy_params=ops.challenger_params,
         )
-        self.policy = self.config.build_policy()
-        self.recorder = MetricsRecorder(
-            policy=self.policy.name,
-            workload=self.config.workload_name,
-        )
-        store = self.config.build_store(self.policy)
         # Same warmup boundary as the champion: both recorders start
         # measuring at the same global seq, so per-window deltas always
         # compare the same traffic slice.
-        self.service = CacheService(
-            store,
-            recorder=self.recorder,
-            warmup_requests=self.config.warmup_requests,
-            config=self.config,
-        )
+        self.service = build_service(self.config)
+        self.recorder = self.service.recorder
+        self.policy = self.service.store.policy
 
     def process(self, seq: int, req: Request) -> bool:
         """Replay one champion request into the challenger."""

@@ -55,7 +55,6 @@ from .service import (
     LatencyConfig,
     replay_requests,
     run_configured,
-    run_service,
 )
 from .store import CachedObject, ObjectStore
 from .workloads import (
@@ -112,5 +111,4 @@ __all__ = [
     "register_serve_policy",
     "replay_requests",
     "run_configured",
-    "run_service",
 ]

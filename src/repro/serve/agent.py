@@ -32,7 +32,7 @@ evicting useless bytes exactly where misses hurt most.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import (
     ACTION_BYPASS,
@@ -40,8 +40,8 @@ from ..core.config import (
     EPV_MAX,
     ChromeConfig,
 )
-from ..core.persistence import restore_agent, save_agent
-from ..env.driver import AgentCore
+from ..core.persistence import agent_state, restore_agent, save_agent
+from ..env.driver import AgentCore, restore_agent_state
 from ..sim.address import fold_hash, mix_hash
 from .policies import ServePolicy, register_serve_policy
 from .store import CachedObject
@@ -361,3 +361,52 @@ class ChromeServePolicy(ServePolicy):
 
 
 register_serve_policy("chrome", ChromeServePolicy)
+
+
+# --- the ops snapshot seam, written once ------------------------------------------
+
+
+def _agents(policies: Sequence[ServePolicy]) -> List[ServeAgent]:
+    agents = []
+    for policy in policies:
+        agent = getattr(policy, "agent", None)
+        if agent is None:
+            raise ValueError(
+                f"policy {policy.name!r} has no learning agent; "
+                "ops hot-swap/rollback require a learned (chrome) policy"
+            )
+        agents.append(agent)
+    return agents
+
+
+def snapshot_agents(policies: Sequence[ServePolicy]) -> List[dict]:
+    """One ``serve-agent`` snapshot per policy, in order.
+
+    The ``agent_states`` seam of every serve-side service: a single
+    service is a fleet of one.  Raises ``ValueError`` when a policy has
+    no learning agent.
+    """
+    return [agent_state(agent, "serve-agent") for agent in _agents(policies)]
+
+
+def restore_agents(
+    policies: Sequence[ServePolicy], states: List[dict], *, keep_rng: bool = False
+) -> None:
+    """Load snapshots into the agents behind ``policies``.
+
+    One state per policy restores each agent from its own snapshot (the
+    rollback path); a single state broadcasts to every agent (the
+    promotion path).  ``keep_rng`` follows
+    :func:`~repro.env.driver.restore_agent_state`.  Any other state
+    count, or a policy without an agent, raises ``ValueError``.
+    """
+    agents = _agents(policies)
+    if len(states) == 1:
+        states = states * len(agents)
+    if len(states) != len(agents):
+        expected = (
+            "1 agent state" if len(agents) == 1 else f"1 or {len(agents)} agent states"
+        )
+        raise ValueError(f"expected {expected}, got {len(states)}")
+    for agent, state in zip(agents, states):
+        restore_agent_state(agent, state, "serve-agent", keep_rng=keep_rng)

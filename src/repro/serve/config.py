@@ -1,11 +1,8 @@
 """The unified serve runtime configuration: one frozen spec per service.
 
-Before this module the serving layer's knobs were scattered across the
-:class:`~repro.serve.service.CacheService` / ``run_service`` signatures
-(latency model, fault model, resilience policy, capacity, warmup,
-client count, ...) and re-flattened into ``ServeJob``'s parallel
-``*_params`` tuples.  :class:`ServiceConfig` collapses that surface
-into a single frozen dataclass:
+:class:`ServiceConfig` holds every knob of the serving layer (latency
+model, fault model, resilience policy, capacity, warmup, client count,
+...) in a single frozen dataclass:
 
 * **one object describes one service end to end** — store geometry,
   policy (by name + literal params, so the config stays picklable and
@@ -19,14 +16,14 @@ into a single frozen dataclass:
   job dataclasses carry, and :meth:`ServiceConfig.for_shard` derives a
   per-shard variant (fresh policy/fault seeds, same shape) so a
   cluster builds N shards from one config;
-* **the old kwargs keep working** — ``run_service`` and
-  ``CacheService(...)`` accept their historical parameters unchanged
-  (thin shims over this module), so the committed serve goldens stay
-  byte-identical.
+* **the service reads it alone** — :class:`~repro.serve.service.CacheService`
+  takes latency, faults, resilience and warmup from its config, and
+  :func:`~repro.serve.service.build_service` is the one place a
+  config becomes a store, recorder and service.
 
-:class:`LatencyConfig` moved here from :mod:`repro.serve.service`
-(which re-exports it) so the config module has no import cycle with
-the service it describes.
+:class:`LatencyConfig` lives here (:mod:`repro.serve.service`
+re-exports it) so the config module has no import cycle with the
+service it describes.
 """
 
 from __future__ import annotations
@@ -76,7 +73,8 @@ def build_resilience_config(
     ``("preset", "none")`` selects :meth:`ResilienceConfig.none` (the
     no-resilience control group) with any remaining params overriding
     it; an empty tuple returns None, which means *default* resilience
-    when faults are injected and the plain request path otherwise.
+    when faults are injected and :meth:`ResilienceConfig.none`
+    otherwise.
     """
     if not resilience_params:
         return None
@@ -188,9 +186,10 @@ class ServiceConfig:
         when ``policy`` is omitted) against its own isolated store.  It
         never sees injected faults or resilience machinery — shadow
         evaluation compares *cache policies*, and the champion's fault
-        stream must not leak into the challenger's reward signal.  The
-        derived seed is a pure function of the champion seed, so shadow
-        runs rebuild identically in any process.
+        stream must not leak into the challenger's reward signal.  It
+        keeps no checkpoint curve either.  The derived seed is a pure
+        function of the champion seed, so shadow runs rebuild
+        identically in any process.
         """
         return replace(
             self,
@@ -199,6 +198,7 @@ class ServiceConfig:
                 policy_params if policy_params is not None else self.policy_params
             ),
             seed=mix_hash((self.seed << 24) ^ 0xC7A11E),
+            checkpoint_every=0,
             faults=None,
             resilience=None,
         )

@@ -1,8 +1,7 @@
 """The serving layer as an :class:`~repro.env.protocol.Environment`.
 
 The serve domain binding: a :class:`~repro.serve.service.CacheService`
-request loop (including the resilient pipeline when fault/resilience
-params are supplied) driving :class:`~repro.serve.agent.ServeAgent`,
+request loop driving :class:`~repro.serve.agent.ServeAgent`,
 the serve binding of the shared :class:`~repro.env.driver.AgentCore`.
 ``run()`` is exactly :func:`~repro.serve.service.run_configured` — the
 adapter only holds onto the policy instance so the snapshot seam stays
@@ -14,10 +13,9 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Dict, List
 
-from ..core.persistence import agent_state
-from ..env.driver import restore_agent_state
 from ..env.protocol import Environment
 from ..env.registry import register_environment
+from .agent import restore_agents, snapshot_agents
 from .config import ServiceConfig
 from .service import run_configured
 from .workloads import build_workload
@@ -66,14 +64,12 @@ class ServeEnvironment(Environment):
         return asdict(metrics)
 
     def agent_states(self) -> List[dict]:
-        return [agent_state(self.policy.agent, self.snapshot_kind)]
+        return snapshot_agents([self.policy])
 
     def load_agent_states(
         self, states: List[dict], *, keep_rng: bool = False
     ) -> None:
-        restore_agent_state(
-            self.policy.agent, states[0], self.snapshot_kind, keep_rng=keep_rng
-        )
+        restore_agents([self.policy], states, keep_rng=keep_rng)
 
 
 register_environment("serve", ServeEnvironment)

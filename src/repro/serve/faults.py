@@ -20,7 +20,7 @@ layer's bit-identical determinism guarantee survives chaos testing:
   count and on every host.
 
 The injector only *decides*; the service
-(:meth:`~repro.serve.service.CacheService._process_resilient`)
+(:meth:`~repro.serve.service.CacheService.process`)
 applies the decisions, and :mod:`repro.serve.resilience` supplies the
 graceful-degradation machinery (timeouts, retries, breakers, stale
 serving, shedding) that turns injected faults into bounded damage.

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .config import ServiceConfig, build_fault_config, build_resilience_config
+from .config import ServiceConfig, build_resilience_config
 from .metrics import ServeMetrics
 from .service import run_configured
 from .workloads import build_workload
@@ -49,7 +49,7 @@ class ServeJob:
     #: fault model (FaultConfig.params()); empty = no injection
     fault_params: Tuple[Tuple[str, object], ...] = ()
     #: degradation policy (ResilienceConfig.params()); empty = default
-    #: resilience when faults are injected, plain path otherwise
+    #: resilience when faults are injected, ResilienceConfig.none() otherwise
     resilience_params: Tuple[Tuple[str, object], ...] = ()
 
     @property
@@ -102,10 +102,6 @@ class ServeJob:
         same job always trains identically.
         """
         return self.service_config().build_policy()
-
-    def build_faults(self):
-        """FaultConfig from the spec (None when no faults requested)."""
-        return build_fault_config(self.fault_params)
 
     def build_resilience(self):
         """ResilienceConfig from the spec (see

@@ -5,11 +5,13 @@ if N client coroutines race on the cache, admission order — and
 therefore every hit-ratio number — depends on scheduler whims.  This
 module gets both:
 
-* **state mutation is sequenced** — each request carries its global
-  sequence number, and a ticket discipline (:class:`_Sequencer`) lets
-  clients interleave freely but forces lookup/admit/evict to happen in
-  sequence order.  ``num_clients=1`` and ``num_clients=64`` produce
-  bit-identical :class:`~repro.serve.metrics.ServeMetrics`;
+* **state mutation runs in sequence order** — each request carries its
+  global sequence number, and :func:`drive_requests` runs N worker
+  coroutines over one shared ``enumerate(requests)`` iterator.  A
+  worker never awaits between taking a ticket and processing it, so
+  lookup/admit/evict happen in sequence order without a lock, and
+  ``num_clients=1`` and ``num_clients=64`` produce bit-identical
+  :class:`~repro.serve.metrics.ServeMetrics`;
 * **time is virtual** — request latency comes from a deterministic
   model (:class:`Backend`): arrival times are ``seq x inter_arrival``,
   a backend fetch costs base + bytes/bandwidth + a queueing penalty
@@ -23,15 +25,16 @@ loop that makes the CHROME serve agent concurrency-aware: more misses
 -> deeper backend queues -> higher fetch latency -> obstructed tenants
 -> amplified no-re-request rewards.
 
-Fault injection and graceful degradation (this PR) ride on the same
-discipline: a :class:`~repro.serve.faults.FaultInjector` decides each
-attempt's fate as a *pure function* of (seed, seq, attempt, virtual
-time), and the :class:`~repro.serve.resilience.ResilienceState`
-machinery (timeout, retries, breaker, stale serving, shedding) runs
-entirely inside the sequenced :meth:`CacheService.process` call — so
-chaos runs stay bit-identical at any client count.  When neither is
-configured, requests take the original code path untouched (the
-committed goldens pin that the default path did not move).
+Fault injection and graceful degradation ride on the same discipline:
+a :class:`~repro.serve.faults.FaultInjector` decides each attempt's
+fate as a *pure function* of (seed, seq, attempt, virtual time), and
+the :class:`~repro.serve.resilience.ResilienceState` machinery
+(timeout, retries, breaker, stale serving, shedding) runs entirely
+inside the :meth:`CacheService.process` call — so chaos runs stay
+bit-identical at any client count.  Every service runs that one
+pipeline; one configured with neither faults nor resilience runs
+:meth:`~repro.serve.resilience.ResilienceConfig.none`, which on a
+healthy origin is one fetch per miss.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ import asyncio
 import heapq
 from typing import List, Optional, Sequence, Tuple
 
-from .agent import BackendObstructionMonitor
+from .agent import BackendObstructionMonitor, restore_agents, snapshot_agents
 from .config import LatencyConfig, ServiceConfig
-from .faults import FaultConfig, FaultInjector
+from .faults import FaultInjector
 from .metrics import MetricsRecorder, ServeMetrics
 from .policies import ServePolicy
 from .resilience import ResilienceConfig, ResilienceState
@@ -90,85 +93,57 @@ class Backend:
         return len(completions)
 
 
-class _Sequencer:
-    """Ticket lock over request sequence numbers (asyncio Condition)."""
-
-    def __init__(self) -> None:
-        self._next = 0
-        self._cond = asyncio.Condition()
-
-    async def turn(self, seq: int) -> None:
-        async with self._cond:
-            await self._cond.wait_for(lambda: self._next == seq)
-
-    async def advance(self) -> None:
-        async with self._cond:
-            self._next += 1
-            self._cond.notify_all()
-
-
 class CacheService:
     """The serving front-end: lookup, origin fetch, admission, metrics.
 
     :meth:`process` is the synchronous per-request core — everything
-    that touches shared state.  The async driver wraps it in the ticket
-    discipline; :func:`replay_requests` calls it in a plain loop.  Both
-    produce identical results by construction (and by test).
+    that touches shared state.  :func:`drive_requests` runs it from N
+    worker coroutines; :func:`replay_requests` calls it in a plain
+    loop.  Both produce identical results by construction (and by
+    test).  :func:`build_service` is the one place a store, recorder
+    and service are assembled from a :class:`ServiceConfig`.
     """
 
     def __init__(
         self,
         store: ObjectStore,
-        latency: Optional[LatencyConfig] = None,
-        monitor: Optional[BackendObstructionMonitor] = None,
+        config: ServiceConfig,
+        *,
         recorder: Optional[MetricsRecorder] = None,
-        warmup_requests: int = 0,
-        faults: Optional[FaultConfig] = None,
-        resilience: Optional[ResilienceConfig] = None,
         obs=None,
-        config: Optional[ServiceConfig] = None,
     ) -> None:
-        # ``config`` is the consolidated spec (see serve/config.py); the
-        # individual kwargs remain as the legacy surface and, when given
-        # explicitly, win over the config's fields.
-        if config is not None:
-            latency = latency or config.latency
-            faults = faults if faults is not None else config.faults
-            resilience = (
-                resilience if resilience is not None else config.resilience
-            )
-            if warmup_requests == 0:
-                warmup_requests = config.warmup_requests
+        # Latency, faults, resilience and warmup come from ``config``
+        # alone; the store carries the geometry and the policy.
         self.config = config
         self.store = store
-        self.latency = latency or LatencyConfig()
+        self.latency = config.latency or LatencyConfig()
         self.backend = Backend(self.latency)
-        self.monitor = monitor or BackendObstructionMonitor(
-            self.latency.backend_base_ms
-        )
+        self.monitor = BackendObstructionMonitor(self.latency.backend_base_ms)
         self.recorder = recorder
-        self.warmup_requests = warmup_requests
+        self.warmup_requests = config.warmup_requests
+        faults = config.faults
         self.injector = FaultInjector(faults) if faults is not None else None
-        # The degraded pipeline engages when faults are injected OR a
-        # resilience policy is explicitly requested; a plain service
-        # keeps the original (goldens-pinned) request path.
-        if faults is not None or resilience is not None:
-            self.resilience = ResilienceState(resilience or ResilienceConfig())
-            if self.resilience.config.stale_entries > 0:
-                store.add_evict_listener(self.resilience.retain_stale)
-        else:
-            self.resilience = None
+        # Injected faults get default resilience unless the config says
+        # otherwise; a healthy service gets the do-nothing policy.
+        resilience = config.resilience
+        if resilience is None:
+            resilience = (
+                ResilienceConfig() if faults is not None else ResilienceConfig.none()
+            )
+        self.resilience = ResilienceState(resilience)
+        if resilience.stale_entries > 0:
+            store.add_evict_listener(self.resilience.retain_stale)
         if recorder is not None:
             store.recorder = recorder
-            recorder.set_measuring(warmup_requests == 0)
+            recorder.set_measuring(self.warmup_requests == 0)
         # Let learned policies see the obstruction signal.
         bind = getattr(store.policy, "bind_obstruction", None)
         if callable(bind):
             bind(self.monitor)
         # Live-operations tap (repro.ops): called once per request,
-        # inside the sequenced section, after this service has fully
-        # processed it.  None by default — same zero-overhead-when-off
-        # contract as obs (one attribute test per request).
+        # in sequence order, after this service has fully processed
+        # it.  None by default — same zero-overhead-when-off contract
+        # as obs (one attribute test per request).
         self._ops_tap = None
         # Observability: one attribute test per request when disabled
         # (the zero-overhead-when-off contract of repro.obs).
@@ -182,54 +157,39 @@ class CacheService:
             self._obs_next = -1
 
     def process(self, seq: int, req: Request) -> bool:
-        """Serve one request at its virtual arrival time; returns hit."""
+        """Serve one request at its virtual arrival time; returns hit.
+
+        Cache hits are served locally: origin faults cannot touch them
+        (that asymmetry is what stale serving exploits).  A miss runs
+        the degradation pipeline in :meth:`_serve_miss`.
+        """
         if self._obs is not None and seq == self._obs_next:
             self._obs_sample(seq)
-        if self.resilience is not None:
-            hit = self._process_resilient(seq, req)
-            if self._ops_tap is not None:
-                self._ops_tap(seq, req)
-            return hit
         recorder = self.recorder
         if recorder is not None and seq == self.warmup_requests:
             recorder.set_measuring(True)
-        now_ms = seq * self.latency.inter_arrival_ms
         hit = self.store.lookup(req)
-        outstanding = 0
-        if hit:
-            latency = self.latency.hit_latency(req.size)
-        else:
-            latency, outstanding = self.backend.fetch(req.size, now_ms)
-            self.monitor.observe(req.tenant, latency)
-            self.store.admit(req)
-        if recorder is not None:
-            recorder.on_request(req.tenant, req.size, hit, latency, outstanding)
+        if not hit:
+            self._serve_miss(seq, req, recorder)
+        elif recorder is not None:
+            recorder.on_request(
+                req.tenant, req.size, True, self.latency.hit_latency(req.size), 0
+            )
         if self._ops_tap is not None:
             self._ops_tap(seq, req)
         return hit
 
-    def _process_resilient(self, seq: int, req: Request) -> bool:
-        """The degraded-capable request pipeline (faults + resilience).
+    def _serve_miss(
+        self, seq: int, req: Request, recorder: Optional[MetricsRecorder]
+    ) -> None:
+        """Shed -> breaker -> timeout/retry attempt loop -> stale fallback.
 
-        Shed -> breaker -> timeout/retry attempt loop -> stale fallback,
-        all in virtual time derived from ``seq``.  With no injector and
-        default resilience, every branch below reduces to the plain
-        path: same fetch call, same floats, bit-identical metrics (the
-        differential suite pins this).
+        All in virtual time derived from ``seq``.  With no injector and
+        :meth:`ResilienceConfig.none`, every branch below reduces to
+        one fetch and one admit: the same fetch call and the same floats
+        as a proxy with no resilience at all.
         """
-        recorder = self.recorder
-        if recorder is not None and seq == self.warmup_requests:
-            recorder.set_measuring(True)
         now_ms = seq * self.latency.inter_arrival_ms
-        hit = self.store.lookup(req)
-        if hit:
-            # Cache hits are served locally: origin faults cannot touch
-            # them (that asymmetry is what stale-serving exploits).
-            latency = self.latency.hit_latency(req.size)
-            if recorder is not None:
-                recorder.on_request(req.tenant, req.size, True, latency, 0)
-            return True
-
         res = self.resilience
         cfg = res.config
         injector = self.injector
@@ -241,7 +201,7 @@ class CacheService:
         if res.should_shed(self.backend.outstanding(now_ms)):
             if recorder is not None:
                 recorder.on_shed(req.tenant, req.size, cfg.error_latency_ms)
-            return False
+            return
 
         # 2. Circuit breaker: an open breaker never touches the backend.
         breaker = res.breaker(req.tenant)
@@ -258,7 +218,7 @@ class CacheService:
                         req.tenant, req.size, cfg.error_latency_ms,
                         breaker_denied=True,
                     )
-            return False
+            return
 
         # 3. Timed, retried origin fetch.  ``timeout_ms`` is a whole-
         # request latency budget (deadline), not a per-attempt clock: an
@@ -320,7 +280,7 @@ class CacheService:
                 )
                 if degraded_window or probing or attempt > 1:
                     recorder.note_degraded(total)
-            return False
+            return
 
         # 4. Every attempt failed: trip the breaker, fall back to stale.
         if breaker.on_failure(now_ms) and recorder is not None:
@@ -330,21 +290,19 @@ class CacheService:
             latency = total + self.latency.hit_latency(req.size) + cfg.stale_latency_ms
             if recorder is not None:
                 recorder.on_stale(req.tenant, req.size, latency)
-        else:
-            if recorder is not None:
-                recorder.on_error(req.tenant, req.size, total)
-        return False
+        elif recorder is not None:
+            recorder.on_error(req.tenant, req.size, total)
 
     # --- live-operations seams (repro.ops) ----------------------------------------
 
     def attach_ops_tap(self, tap) -> None:
         """Install the per-request ops callback (``tap(seq, req)``).
 
-        The tap fires inside the sequenced section after this service
-        has fully processed the request (both the plain and the
-        resilient path), so everything the ops controller does — shadow
-        duplication, window evaluation, agent swaps — is ordered by the
-        global sequence number and bit-identical at any client count.
+        The tap fires after this service has fully processed the
+        request, in sequence order, so everything the ops controller
+        does — shadow duplication, window evaluation, agent swaps — is
+        ordered by the global sequence number and bit-identical at any
+        client count.
         """
         self._ops_tap = tap
 
@@ -354,20 +312,9 @@ class CacheService:
             raise ValueError("service has no MetricsRecorder to read signals from")
         return [self.recorder]
 
-    def _agent(self):
-        agent = getattr(self.store.policy, "agent", None)
-        if agent is None:
-            raise ValueError(
-                f"policy {self.store.policy.name!r} has no learning agent; "
-                "ops hot-swap/rollback require a learned (chrome) policy"
-            )
-        return agent
-
     def agent_states(self) -> List[dict]:
         """Snapshot the learned state (one entry: this service's agent)."""
-        from ..core.persistence import agent_state
-
-        return [agent_state(self._agent(), kind="serve-agent")]
+        return snapshot_agents([self.store.policy])
 
     def load_agent_states(self, states: List[dict], *, keep_rng: bool = False) -> None:
         """Swap learned state into the live agent at an epoch boundary.
@@ -381,25 +328,16 @@ class CacheService:
         uses, so a mid-run swap never replays another agent's
         exploration randomness.
         """
-        if len(states) != 1:
-            raise ValueError(
-                f"expected exactly 1 agent state for a single service, "
-                f"got {len(states)}"
-            )
-        from ..env.driver import restore_agent_state
-
-        restore_agent_state(
-            self._agent(), states[0], "serve-agent", keep_rng=keep_rng
-        )
+        restore_agents([self.store.policy], states, keep_rng=keep_rng)
 
     # --- observability (opt-in; reads shared state, never mutates it) -------------
 
     def _obs_sample(self, seq: int) -> None:
         """One timeline/trace sample per ``serve_window`` requests.
 
-        Called inside the sequenced section, so samples land at the
-        same request boundaries for any client count.  Everything read
-        here is cumulative service state — the request path itself is
+        Called in sequence order, so samples land at the same request
+        boundaries for any client count.  Everything read here is
+        cumulative service state — the request path itself is
         untouched.
         """
         obs = self._obs
@@ -427,9 +365,8 @@ class CacheService:
                 degraded_requests=m.degraded_requests
                 + len(self.recorder._degraded_latencies),
             )
-        if self.resilience is not None:
-            row["breaker_states"] = self.resilience.breaker_states()
-            row["stale_retained"] = self.resilience.stale_retained
+        row["breaker_states"] = self.resilience.breaker_states()
+        row["stale_retained"] = self.resilience.stale_retained
         policy = self.store.policy
         mix = getattr(policy, "reward_mix", None)
         if callable(mix):
@@ -443,12 +380,11 @@ class CacheService:
         obs.tracer.counter(
             "serve.outstanding", ts_us, {"fetches": row["outstanding"]}
         )
-        if self.resilience is not None:
-            for tenant, state in row["breaker_states"].items():
-                if state != "closed":
-                    obs.tracer.instant(
-                        f"breaker.{state}", ts_us, args={"tenant": tenant}
-                    )
+        for tenant, state in row["breaker_states"].items():
+            if state != "closed":
+                obs.tracer.instant(
+                    f"breaker.{state}", ts_us, args={"tenant": tenant}
+                )
 
     def finalize(self) -> ServeMetrics:
         """Close the recorder: final metrics plus policy telemetry."""
@@ -473,10 +409,9 @@ class CacheService:
             "degraded_fraction": metrics.degraded_fraction,
             "breaker_opens": metrics.breaker_opens,
             "obstruction_ewma": self.monitor.summary(),
+            "breaker_states": self.resilience.breaker_states(),
+            "stale_retained": self.resilience.stale_retained,
         }
-        if self.resilience is not None:
-            row["breaker_states"] = self.resilience.breaker_states()
-            row["stale_retained"] = self.resilience.stale_retained
         if metrics.telemetry:
             row["policy_telemetry"] = dict(metrics.telemetry)
         obs.timeline.record("serve_summary", **row)
@@ -495,55 +430,40 @@ class CacheService:
             reg.set_gauges("serve.policy", metrics.telemetry)
 
 
-async def _client(
-    service: CacheService,
-    sequencer: _Sequencer,
-    assigned: Sequence[Tuple[int, Request]],
-) -> None:
-    for seq, req in assigned:
-        await sequencer.turn(seq)
-        hit = service.process(seq, req)
-        await sequencer.advance()
-        if not hit:
-            # A miss awaits its origin fetch: yield so other clients
-            # run ahead — real interleaving, deterministic results.
-            await asyncio.sleep(0)
-
-
-async def _drive(
-    service: CacheService, requests: Sequence[Request], num_clients: int
-) -> None:
-    # Round-robin assignment: client i serves requests i, i+N, i+2N, ...
-    assignments: List[List[Tuple[int, Request]]] = [
-        [] for _ in range(num_clients)
-    ]
-    for seq, req in enumerate(requests):
-        assignments[seq % num_clients].append((seq, req))
-    sequencer = _Sequencer()
-    await asyncio.gather(
-        *(_client(service, sequencer, a) for a in assignments if a)
-    )
-
-
-def replay_requests(
-    service: CacheService, requests: Sequence[Request]
-) -> None:
+def replay_requests(service, requests: Sequence[Request]) -> None:
     """Synchronous reference loop (same results as the async driver)."""
     process = service.process
     for seq, req in enumerate(requests):
         process(seq, req)
 
 
+async def _drive(process, requests: Sequence[Request], num_clients: int) -> None:
+    tickets = enumerate(requests)
+
+    async def worker() -> None:
+        for seq, req in tickets:
+            if not process(seq, req):
+                # A miss awaits its origin fetch: yield so other workers
+                # run ahead — real interleaving, deterministic results.
+                await asyncio.sleep(0)
+
+    await asyncio.gather(*(worker() for _ in range(num_clients)))
+
+
 def drive_requests(service, requests: Sequence[Request], num_clients: int) -> None:
     """Feed a stream through anything with the ``process`` surface.
 
-    One client takes the synchronous reference loop; more run the
-    sequenced async driver.  Results are identical either way.
+    One client takes the synchronous reference loop.  More run that
+    many worker coroutines over one shared ``enumerate(requests)``
+    iterator.  A worker takes the next ``(seq, req)`` ticket and calls
+    ``process`` with no await in between, so no other worker runs until
+    that ticket is done: tickets run strictly in ``seq`` order without
+    a lock, and results match :func:`replay_requests` exactly.
     """
     if num_clients <= 1:
         replay_requests(service, requests)
     else:
-        asyncio.run(_drive(service, requests, num_clients))
+        asyncio.run(_drive(service.process, requests, num_clients))
 
 
 def build_service(
@@ -554,8 +474,10 @@ def build_service(
 ) -> CacheService:
     """A fresh recorder, store and service for one config.
 
-    ``policy`` optionally supplies a pre-built policy instance (warm
-    starts); when omitted the config builds its own.
+    The one assembly path: single runs, cluster shards and the ops
+    shadow challenger are all built here.  ``policy`` optionally
+    supplies a pre-built policy instance (warm starts); when omitted
+    the config builds its own.
     """
     if policy is None:
         policy = config.build_policy()
@@ -564,13 +486,8 @@ def build_service(
         workload=config.workload_name,
         checkpoint_every=config.checkpoint_every,
     )
-    store = ObjectStore(config.capacity_bytes, config.num_segments, policy)
     return CacheService(
-        store,
-        recorder=recorder,
-        warmup_requests=config.warmup_requests,
-        obs=obs,
-        config=config,
+        config.build_store(policy), config, recorder=recorder, obs=obs
     )
 
 
@@ -587,8 +504,8 @@ def run_configured(
     every knob (geometry, policy, latency model, faults, resilience,
     driver concurrency, warmup, checkpointing), and the run is a pure
     function of (requests, config).  ``policy`` optionally supplies a
-    pre-built policy instance (warm starts, legacy callers); when
-    omitted the config builds its own, RNG-seeded from the config seed.
+    pre-built policy instance (warm starts); when omitted the config
+    builds its own, RNG-seeded from the config seed.
 
     ``config.num_clients`` controls only the *concurrency shape* of
     the driver; metrics are bit-identical for any client count (the
@@ -604,39 +521,3 @@ def run_configured(
     service = build_service(config, policy=policy, obs=obs)
     drive_requests(service, requests, config.num_clients)
     return service.finalize()
-
-
-def run_service(
-    requests: Sequence[Request],
-    policy: ServePolicy,
-    capacity_bytes: int,
-    num_segments: int,
-    *,
-    num_clients: int = 8,
-    warmup_requests: int = 0,
-    latency: Optional[LatencyConfig] = None,
-    checkpoint_every: int = 0,
-    workload_name: str = "",
-    faults: Optional[FaultConfig] = None,
-    resilience: Optional[ResilienceConfig] = None,
-    obs=None,
-) -> ServeMetrics:
-    """Legacy kwargs surface — a thin shim over :func:`run_configured`.
-
-    Deprecated in favor of building a :class:`ServiceConfig` and
-    calling :func:`run_configured`; kept so existing callers (and the
-    committed goldens they pin) keep working unchanged.
-    """
-    config = ServiceConfig(
-        capacity_bytes=capacity_bytes,
-        num_segments=num_segments,
-        policy=policy.name,
-        num_clients=num_clients,
-        warmup_requests=warmup_requests,
-        checkpoint_every=checkpoint_every,
-        workload_name=workload_name,
-        latency=latency,
-        faults=faults,
-        resilience=resilience,
-    )
-    return run_configured(requests, config, policy=policy, obs=obs)

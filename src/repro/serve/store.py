@@ -175,18 +175,3 @@ class ObjectStore:
             listener(obj)
         if self.recorder is not None:
             self.recorder.on_evict(obj.size)
-
-    # --- introspection -----------------------------------------------------------
-
-    def segment_stats(self) -> dict:
-        """Occupancy summary (debugging/telemetry)."""
-        occupancies = [
-            bytes_used / self.segment_capacity if self.segment_capacity else 0.0
-            for bytes_used in self._segment_bytes
-        ]
-        return {
-            "used_bytes": self.used_bytes,
-            "object_count": self.object_count,
-            "mean_occupancy": sum(occupancies) / len(occupancies),
-            "max_occupancy": max(occupancies),
-        }

@@ -225,6 +225,46 @@ def test_serve_results_identical_with_and_without_obs(tmp_path):
     assert instrumented == plain
 
 
+def _fleet_metrics(obs=None):
+    from repro.cluster import ClusterJob
+
+    job = ClusterJob(
+        workload="zipf_scan",
+        policy="chrome",
+        num_requests=500,
+        warmup_requests=100,
+        capacity_bytes=1 << 21,
+        num_segments=32,
+        num_shards=3,
+        num_clients=4,
+        seed=5,
+        federate_every=200,
+        hotkey_window=128,
+        fault_params=(("seed", 2), ("error_rate", 0.05)),
+        kill_shard=1,
+        kill_fault_params=(
+            ("seed", 3), ("outage_every_ms", 150.0), ("outage_duration_ms", 40.0),
+        ),
+    )
+    return job.execute(obs=obs) if obs is not None else job.execute()
+
+
+def test_fleet_results_identical_with_and_without_obs(tmp_path):
+    plain = _fleet_metrics()
+    window = 100
+    instrumented = _fleet_metrics(
+        obs=ObsConfig(out_dir=str(tmp_path), serve_window=window)
+    )
+    assert instrumented == plain
+    assert plain.ring_changes > 0 and plain.federations > 0
+    found = discover_artifacts(str(tmp_path))
+    rows = list(iter_jsonl(found["timeline"][0].read_text()))
+    windows = [r for r in rows if r["kind"] == "cluster_window"]
+    # one row at every serve_window boundary of the 600-request stream
+    assert [w["seq"] for w in windows] == list(range(window - 1, 600, window))
+    assert all("hot_keys" in w and "breaker_states" in w for w in windows)
+
+
 def test_serve_obs_timeline_covers_breakers_and_reward_mix(tmp_path):
     _serve_metrics(obs=ObsConfig(out_dir=str(tmp_path), serve_window=200))
     found = discover_artifacts(str(tmp_path))

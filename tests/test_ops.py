@@ -324,16 +324,9 @@ def test_save_fleet_states_leaves_no_tmp_files(tmp_path):
 
 
 def test_sabotaged_states_load_through_grid_validation():
-    from repro.serve.metrics import MetricsRecorder
-    from repro.serve.service import CacheService, replay_requests
+    from repro.serve.service import build_service, replay_requests
 
-    config = _config()
-    policy = config.build_policy()
-    service = CacheService(
-        config.build_store(policy),
-        recorder=MetricsRecorder(policy=policy.name, workload="zipf_scan"),
-        config=config,
-    )
+    service = build_service(_config())
     replay_requests(service, _zipf_requests(800))
     trained = service.agent_states()
     bad = sabotaged_states(trained)
@@ -342,6 +335,30 @@ def test_sabotaged_states_load_through_grid_validation():
     # grid-validated persistence path, and survives JSON
     service.load_agent_states(bad, keep_rng=True)
     assert json.loads(json.dumps(bad)) == bad
+
+
+def test_agent_state_seams_reject_unlearned_policies_and_wrong_counts():
+    from repro.cluster.cluster import ClusterService
+    from repro.serve.service import build_service
+
+    lru = _config(policy="lru")
+    for target in (build_service(lru), ClusterService(lru, 2)):
+        with pytest.raises(ValueError, match="'lru' has no learning agent"):
+            target.agent_states()
+        with pytest.raises(ValueError, match="'lru' has no learning agent"):
+            target.load_agent_states(_fake_states(1))
+    service = build_service(_config())
+    fleet = ClusterService(_config(), 2)
+    one = service.agent_states()
+    for target, states, message in (
+        (service, [], "expected 1 agent state, got 0"),
+        (service, one * 2, "expected 1 agent state, got 2"),
+        (fleet, one * 3, "expected 1 or 2 agent states, got 3"),
+    ):
+        before = target.agent_states()
+        with pytest.raises(ValueError, match=message):
+            target.load_agent_states(states)
+        assert target.agent_states() == before  # nothing half-loaded
 
 
 # --- recovery end to end --------------------------------------------------------

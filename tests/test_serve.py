@@ -1,6 +1,8 @@
 """Unit tests for the serving layer: workloads, store, policies,
 agent facade, and the concurrent service's determinism guarantees."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.serve.agent import (
@@ -17,11 +19,13 @@ from repro.serve.policies import (
     S3FIFOServePolicy,
     make_serve_policy,
 )
+from repro.serve.config import ServiceConfig
 from repro.serve.service import (
     CacheService,
     LatencyConfig,
+    drive_requests,
     replay_requests,
-    run_service,
+    run_configured,
 )
 from repro.serve.store import ObjectStore
 from repro.serve.workloads import (
@@ -259,7 +263,10 @@ def test_obstruction_monitor_flags_slow_tenants():
 def test_chrome_serve_policy_trains_on_sampled_segments():
     requests = build_workload("zipf_scan", 4000, seed=3)
     policy = ChromeServePolicy(seed=4)
-    metrics = run_service(requests, policy, 1 << 20, 64, num_clients=1)
+    config = ServiceConfig(
+        capacity_bytes=1 << 20, num_segments=64, policy="chrome", num_clients=1
+    )
+    metrics = run_configured(requests, config, policy=policy)
     tel = metrics.telemetry
     assert tel["q_updates"] > 0
     assert tel["sampled_requests"] > 0
@@ -272,13 +279,15 @@ def test_chrome_serve_beats_lru_on_byte_hit_ratio():
     results = {}
     for name in ("lru", "chrome"):
         requests = build_workload("zipf_scan", 8000, seed=3)
-        results[name] = run_service(
-            requests,
-            make_serve_policy(name),
-            16 << 20,  # the default-scale store geometry
-            128,
+        config = ServiceConfig(
+            capacity_bytes=16 << 20,  # the default-scale store geometry
+            num_segments=128,
+            policy=name,
             num_clients=4,
             warmup_requests=1500,
+        )
+        results[name] = run_configured(
+            requests, config, policy=make_serve_policy(name)
         )
     assert results["chrome"].byte_hit_ratio > results["lru"].byte_hit_ratio
 
@@ -305,15 +314,19 @@ def test_num_clients_never_changes_results(policy_name):
     requests = build_workload("multitenant", 2500, seed=8)
     baseline = None
     for clients in (1, 2, 7):
-        metrics = run_service(
-            requests,
-            make_serve_policy(
-                policy_name, **({"seed": 5} if policy_name == "chrome" else {})
-            ),
-            1 << 20,
-            32,
+        config = ServiceConfig(
+            capacity_bytes=1 << 20,
+            num_segments=32,
+            policy=policy_name,
             num_clients=clients,
             warmup_requests=500,
+        )
+        metrics = run_configured(
+            requests,
+            config,
+            policy=make_serve_policy(
+                policy_name, **({"seed": 5} if policy_name == "chrome" else {})
+            ),
         )
         key = _metrics_key(metrics)
         if baseline is None:
@@ -323,33 +336,30 @@ def test_num_clients_never_changes_results(policy_name):
 
 
 def test_async_driver_matches_sync_replay():
-    requests = build_workload("zipf", 1500, seed=10)
-    stores = []
-    for _ in range(2):
-        store = ObjectStore(1 << 20, 32, LRUServePolicy())
-        stores.append(store)
-    sync_service = CacheService(stores[0])
-    replay_requests(sync_service, requests)
+    config = ServiceConfig(capacity_bytes=1 << 20, num_segments=32)
+    # the last two cases: more clients than requests, and an empty stream
+    for num_requests, num_clients in ((1500, 5), (3, 8), (0, 4)):
+        requests = build_workload("zipf", num_requests, seed=10)
+        stores = [ObjectStore(1 << 20, 32, LRUServePolicy()) for _ in range(2)]
+        sync_service = CacheService(stores[0], config)
+        replay_requests(sync_service, requests)
 
-    import asyncio
-
-    from repro.serve.service import _drive
-
-    async_service = CacheService(stores[1])
-    asyncio.run(_drive(async_service, requests, num_clients=5))
-    assert stores[0].hits == stores[1].hits
-    assert stores[0]._segment_bytes == stores[1]._segment_bytes
-    assert repr(sync_service.backend.bytes_fetched) == repr(
-        async_service.backend.bytes_fetched
-    )
+        async_service = CacheService(stores[1], config)
+        drive_requests(async_service, requests, num_clients=num_clients)
+        case = f"{num_requests} requests, {num_clients} clients"
+        assert stores[0].hits == stores[1].hits, case
+        assert stores[0]._segment_bytes == stores[1]._segment_bytes, case
+        assert repr(sync_service.backend.bytes_fetched) == repr(
+            async_service.backend.bytes_fetched
+        ), case
 
 
 def test_warmup_requests_excluded_from_metrics():
     requests = build_workload("zipf", 1000, seed=12)
-    full = run_service(requests, LRUServePolicy(), 1 << 20, 16, num_clients=1)
-    warm = run_service(
-        requests, LRUServePolicy(), 1 << 20, 16, num_clients=1,
-        warmup_requests=400,
+    config = ServiceConfig(capacity_bytes=1 << 20, num_segments=16, num_clients=1)
+    full = run_configured(requests, config, policy=LRUServePolicy())
+    warm = run_configured(
+        requests, replace(config, warmup_requests=400), policy=LRUServePolicy()
     )
     assert full.requests == 1000
     assert warm.requests == 600

@@ -8,7 +8,7 @@ reference rather than a re-run of the same code path:
    :class:`ResilienceConfig`, no faults) reproduces the *pre-chaos*
    golden file byte-for-byte.  The degraded pipeline engages (breaker
    checks, stale retention, the attempt loop) yet every float matches
-   the legacy path, because on a healthy origin no knob ever fires;
+   the golden, because on a healthy origin no knob ever fires;
 2. **client-count invariance survives chaos** — with faults injected,
    ``num_clients=1`` (the plain synchronous loop) and
    ``num_clients=64`` (the sequenced asyncio driver) produce identical
@@ -106,20 +106,20 @@ def test_default_resilience_matches_committed_golden(
         _golden_job(workload, policy),
         resilience_params=(("preset", "default"),),
     )
-    # sanity: the spec really selects the degraded pipeline with the
-    # all-defaults policy, not the legacy path
+    # sanity: the spec really selects the all-defaults policy, not the
+    # do-nothing ResilienceConfig.none() a plain service runs
     assert job.build_resilience() == ResilienceConfig()
     assert _serve_stats(job.execute()) == golden[case], (
         f"{case}: the resilient pipeline with default knobs diverged "
-        "from the legacy request path — graceful degradation must be "
+        "from the plain-service golden — graceful degradation must be "
         "a no-op on a healthy origin"
     )
 
 
 def test_default_resilience_pipeline_actually_engages() -> None:
-    """The previous test is only meaningful if the resilient branch ran:
-    the degraded path leaves a fingerprint (stale retention tracks
-    evictions) that the legacy path never produces."""
+    """The previous test is only meaningful if default resilience ran:
+    it leaves a fingerprint (stale retention tracks evictions) that the
+    plain service's ResilienceConfig.none() never produces."""
     from repro.serve.metrics import MetricsRecorder
     from repro.serve.service import CacheService, replay_requests
     from repro.serve.store import ObjectStore
@@ -131,13 +131,9 @@ def test_default_resilience_pipeline_actually_engages() -> None:
     )
     recorder = MetricsRecorder(policy=job.policy, workload=job.workload)
     store = ObjectStore(job.capacity_bytes, job.num_segments, job.build_policy())
-    service = CacheService(
-        store,
-        recorder=recorder,
-        warmup_requests=job.warmup_requests,
-        resilience=ResilienceConfig(),
-    )
-    assert service.resilience is not None
+    config = replace(job.service_config(), resilience=ResilienceConfig())
+    service = CacheService(store, config, recorder=recorder)
+    assert service.resilience.config == ResilienceConfig()
     replay_requests(service, requests)
     metrics = recorder.finalize()
     assert metrics.evictions > 0

@@ -37,7 +37,7 @@ import pytest
 
 from repro.serve.jobs import ServeJob
 from repro.serve.metrics import MetricsRecorder
-from repro.serve.service import CacheService, _drive, replay_requests
+from repro.serve.service import CacheService, drive_requests
 from repro.serve.store import ObjectStore
 from repro.serve.workloads import build_workload
 
@@ -125,7 +125,7 @@ def random_job(rng: random.Random, policy: str) -> ServeJob:
         )
     resilience_choice = rng.randrange(3)
     if resilience_choice == 0 and not fault_params:
-        resilience_params = ()  # legacy request path
+        resilience_params = ()  # plain service: no faults, no resilience
     elif resilience_choice == 1:
         resilience_params = (("preset", "none"),)  # naive control
     else:
@@ -154,8 +154,6 @@ def random_job(rng: random.Random, policy: str) -> ServeJob:
 
 def run_audited(job: ServeJob):
     """Mirror :meth:`ServeJob.execute` with an audited store + guards."""
-    import asyncio
-
     total = job.num_requests + job.warmup_requests
     requests = build_workload(
         job.workload, total, seed=job.seed, **dict(job.workload_params)
@@ -164,19 +162,9 @@ def run_audited(job: ServeJob):
     store = AuditedStore(
         job.capacity_bytes, job.num_segments, job.build_policy()
     )
-    service = CacheService(
-        store,
-        recorder=recorder,
-        warmup_requests=job.warmup_requests,
-        faults=job.build_faults(),
-        resilience=job.build_resilience(),
-    )
-    if service.resilience is not None:
-        BreakerGuard(service)
-    if job.num_clients <= 1:
-        replay_requests(service, requests)
-    else:
-        asyncio.run(_drive(service, requests, job.num_clients))
+    service = CacheService(store, job.service_config(), recorder=recorder)
+    BreakerGuard(service)
+    drive_requests(service, requests, job.num_clients)
     return recorder.finalize(), service
 
 
@@ -203,18 +191,18 @@ def check_invariants(job: ServeJob, metrics, service: CacheService) -> None:
         assert 0.0 <= tenant_metrics.byte_hit_ratio <= 1.0
     assert m.bytes_hit <= m.bytes_requested
     res = service.resilience
-    if res is not None:
-        max_attempts = res.config.max_attempts
-        origin_eligible = m.requests - m.hits - m.shed
-        assert m.retries <= (max_attempts - 1) * origin_eligible
-        # the timeout is a whole-request budget: at most one per miss
-        assert m.timeouts <= m.requests - m.hits
-        # trips during warmup live in breaker state but not in metrics
-        assert m.breaker_opens <= res.breaker_opens()
-        if job.warmup_requests == 0:
-            assert m.breaker_opens == res.breaker_opens()
-        assert m.stale_served <= m.evictions or res.config.stale_entries == 0
-    else:
+    max_attempts = res.config.max_attempts
+    origin_eligible = m.requests - m.hits - m.shed
+    assert m.retries <= (max_attempts - 1) * origin_eligible
+    # the timeout is a whole-request budget: at most one per miss
+    assert m.timeouts <= m.requests - m.hits
+    # trips during warmup live in breaker state but not in metrics
+    assert m.breaker_opens <= res.breaker_opens()
+    if job.warmup_requests == 0:
+        assert m.breaker_opens == res.breaker_opens()
+    assert m.stale_served <= m.evictions or res.config.stale_entries == 0
+    if not job.fault_params and not job.resilience_params:
+        # a plain service on a healthy origin: nothing can degrade
         assert m.retries == m.timeouts == m.errors == m.shed == 0
         assert m.stale_served == 0
     # final store occupancy (the audited store checked every step too)
@@ -226,11 +214,11 @@ def test_serve_invariants_hold_across_seeded_configs(policy: str) -> None:
     from dataclasses import replace
 
     rng = random.Random(f"serve-properties:{policy}")
-    saw_faults = saw_resilient = saw_legacy = False
+    saw_faults = saw_resilient = saw_plain = False
     for i in range(CONFIGS_PER_POLICY):
         job = random_job(rng, policy)
         # the first three configs pin one pipeline shape each, so every
-        # policy's sweep covers legacy, naive-chaos and resilient-chaos
+        # policy's sweep covers plain, naive-chaos and resilient-chaos
         # regardless of what the random stream happens to draw
         if i == 0:
             job = replace(job, fault_params=(), resilience_params=())
@@ -244,11 +232,11 @@ def test_serve_invariants_hold_across_seeded_configs(policy: str) -> None:
             job = replace(job, resilience_params=(("max_attempts", 3),))
         saw_faults |= bool(job.fault_params)
         saw_resilient |= bool(job.resilience_params) or bool(job.fault_params)
-        saw_legacy |= not job.fault_params and not job.resilience_params
+        saw_plain |= not job.fault_params and not job.resilience_params
         metrics, service = run_audited(job)
         check_invariants(job, metrics, service)
     # the sweep must actually exercise all three pipeline shapes
-    assert saw_faults and saw_resilient and saw_legacy
+    assert saw_faults and saw_resilient and saw_plain
 
 
 def test_sweep_actually_degrades_somewhere() -> None:
