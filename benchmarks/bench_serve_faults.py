@@ -39,21 +39,23 @@ if str(_SRC) not in sys.path:
 from repro.experiments.runner import ExperimentScale  # noqa: E402
 from repro.serve.experiments import (  # noqa: E402
     FAULT_POLICIES,
-    NAIVE_PARAMS,
     NUM_SEGMENTS,
+    chaos_configs,
     chaos_fault_params,
     resilient_params,
     serve_capacity,
 )
+from repro.serve.faults import FaultConfig  # noqa: E402
 from repro.serve.jobs import ServeJob  # noqa: E402
+from repro.serve.resilience import ResilienceConfig  # noqa: E402
 
 RESULTS_PATH = Path(__file__).parent / "results" / "BENCH_serve_faults.json"
 
 
 def run_one(
     policy: str,
-    resilience_params: tuple,
-    fault_params: tuple,
+    resilience: ResilienceConfig,
+    faults: FaultConfig,
     requests: int,
     warmup: int,
     capacity: int,
@@ -68,8 +70,8 @@ def run_one(
         num_segments=NUM_SEGMENTS,
         num_clients=8,
         seed=0,
-        fault_params=fault_params,
-        resilience_params=resilience_params,
+        faults=faults,
+        resilience=resilience,
     )
     start = time.perf_counter()
     metrics = job.execute(obs=obs)
@@ -154,11 +156,12 @@ def main() -> int:
         "same injected faults"
     ), "per_policy": {}, "passed": True}
 
+    faults, modes = chaos_configs(run_scale)
     for policy in FAULT_POLICIES:
         table = {}
-        for mode, params in (("naive", NAIVE_PARAMS), ("resilient", res_params)):
+        for mode, resilience in modes.items():
             record = run_one(
-                policy, params, fault_params, args.requests, args.warmup,
+                policy, resilience, faults, args.requests, args.warmup,
                 capacity, obs=obs,
             )
             table[mode] = record

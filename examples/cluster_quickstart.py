@@ -34,7 +34,12 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.cluster import ClusterJob  # noqa: E402
-from repro.serve import ServiceConfig, build_workload, run_configured  # noqa: E402
+from repro.serve import (  # noqa: E402
+    FaultConfig,
+    ServiceConfig,
+    build_workload,
+    run_configured,
+)
 
 NUM_SHARDS = 4
 CAPACITY = 8 << 20  # total fleet capacity, split across shards
@@ -96,10 +101,10 @@ def shard_kill_demo(requests: int, warmup: int) -> ClusterJob:
     job = replace(
         base_job(requests, warmup),
         kill_shard=2,
-        kill_fault_params=(
-            ("seed", 3),
-            ("outage_every_ms", round(horizon_ms, 3)),
-            ("outage_duration_ms", round(horizon_ms / 4.0, 3)),
+        kill_faults=FaultConfig(
+            seed=3,
+            outage_every_ms=round(horizon_ms, 3),
+            outage_duration_ms=round(horizon_ms / 4.0, 3),
         ),
     )
     metrics = job.execute()

@@ -150,9 +150,9 @@ class TranslationCacheEnvironment(Environment):
         return [agent_state(self.agent, self.snapshot_kind)]
 
     def load_agent_states(self, states, *, keep_rng: bool = False):
-        from repro.env import restore_agent_state
-        restore_agent_state(self.agent, states[0], self.snapshot_kind,
-                            keep_rng=keep_rng)
+        from repro.env import restore_agent_states
+        restore_agent_states([self.agent], states, self.snapshot_kind,
+                             keep_rng=keep_rng)
 
 
 def new_domain_recipe() -> None:

@@ -111,7 +111,7 @@ from .traces import (
     homogeneous_mix,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "ALL_SPEC_WORKLOADS",

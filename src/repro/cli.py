@@ -208,27 +208,17 @@ def _cluster_job_from_args(args: argparse.Namespace):
     """Build the ClusterJob the ``cluster`` subcommand describes.
 
     Split from the command so tests can assert that every CLI flag
-    lands in the frozen job spec; raises ValueError on bad arguments.
+    lands in the frozen job spec; the job's own checks raise
+    ValueError on bad arguments.
     """
     from .cluster import ClusterJob
+    from .cluster.experiments import kill_outage
 
-    if args.shards < 1 or args.replication < 1:
-        raise ValueError("--shards/--replication must be >= 1")
-    kill_fault_params = ()
+    kill_faults = None
     if args.kill_shard >= 0:
-        if args.kill_shard >= args.shards:
-            raise ValueError(
-                f"--kill-shard {args.kill_shard} out of range "
-                f"(fleet has {args.shards} shards)"
-            )
-        # One outage window sized to ~25% of the virtual horizon (0.5 ms
-        # inter-arrival), jitter-placed inside the run.
-        horizon_ms = (args.requests + args.warmup) * 0.5
-        kill_fault_params = (
-            ("seed", 3),
-            ("outage_every_ms", round(horizon_ms, 3)),
-            ("outage_duration_ms", round(horizon_ms / 4.0, 3)),
-        )
+        # One outage window, ~25% of the run, jitter-placed inside it.
+        run = ExperimentScale(accesses_per_core=args.requests, warmup_per_core=args.warmup)
+        kill_faults = kill_outage(run)
     return ClusterJob(
         workload=args.workload,
         policy=args.policy,
@@ -242,8 +232,8 @@ def _cluster_job_from_args(args: argparse.Namespace):
         seed=args.seed,
         federate_every=args.federate_every,
         hotkey_window=args.hotkey_window,
-        kill_shard=args.kill_shard if kill_fault_params else -1,
-        kill_fault_params=kill_fault_params,
+        kill_shard=args.kill_shard if kill_faults is not None else -1,
+        kill_faults=kill_faults,
     )
 
 
@@ -292,10 +282,8 @@ def _ops_job_from_args(args: argparse.Namespace):
     from .ops import OpsConfig
     from .ops.jobs import OpsJob
 
-    if args.shards < 0:
-        raise ValueError("--shards must be >= 0")
     window = args.window or max(50, (args.requests + args.warmup) // 16)
-    ops_config = OpsConfig(
+    ops = OpsConfig(
         window=window,
         challenger_policy=args.challenger,
         promote_after=args.promote_after,
@@ -313,7 +301,7 @@ def _ops_job_from_args(args: argparse.Namespace):
         num_segments=64,
         num_clients=args.clients,
         seed=args.seed,
-        ops_params=ops_config.params(),
+        ops=ops,
         num_shards=args.shards,
     )
 

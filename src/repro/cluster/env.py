@@ -40,7 +40,7 @@ class ClusterEnvironment(Environment):
         federate_every: int = 0,
     ) -> None:
         self._num_requests = num_requests
-        self.config = ServiceConfig.from_params(
+        self.config = ServiceConfig(
             capacity_bytes=capacity_bytes,
             num_segments=num_segments,
             policy="chrome",

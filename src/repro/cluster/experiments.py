@@ -20,7 +20,7 @@ shard* of the unfederated one.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Tuple
+from typing import List, Mapping
 
 from ..experiments.engine import ExperimentPlan
 from ..experiments.registry import register_experiment
@@ -39,9 +39,7 @@ REPLICATION = 2
 KILLED_SHARD = 2
 
 
-def kill_fault_params(
-    scale: ExperimentScale, seed: int = 3
-) -> Tuple[Tuple[str, object], ...]:
+def kill_outage(scale: ExperimentScale, seed: int = 3):
     """Outage windows that take one shard down for ~25% of the run.
 
     ``outage_every_ms`` equals the virtual horizon, so exactly one
@@ -50,12 +48,13 @@ def kill_fault_params(
     around it, and gets it back before the run ends.
     """
     from ..serve.experiments import INTER_ARRIVAL_MS
+    from ..serve.faults import FaultConfig
 
     horizon = (scale.accesses_per_core + scale.warmup_per_core) * INTER_ARRIVAL_MS
-    return (
-        ("seed", seed),
-        ("outage_every_ms", round(horizon, 3)),
-        ("outage_duration_ms", round(horizon / 4.0, 3)),
+    return FaultConfig(
+        seed=seed,
+        outage_every_ms=round(horizon, 3),
+        outage_duration_ms=round(horizon / 4.0, 3),
     )
 
 
@@ -85,7 +84,7 @@ def cluster_job(
         federate_every=max(1, num_requests // 8) if federate else 0,
         hotkey_window=max(256, num_requests // 16) if federate else 0,
         kill_shard=KILLED_SHARD if kill else -1,
-        kill_fault_params=kill_fault_params(scale) if kill else (),
+        kill_faults=kill_outage(scale) if kill else None,
     )
 
 

@@ -1,10 +1,10 @@
 """Declarative cluster jobs for the parallel experiment engine.
 
 :class:`ClusterJob` follows the :class:`~repro.serve.jobs.ServeJob`
-contract exactly — frozen, hashable, entirely self-describing, with a
-namespaced ``canonical()`` tuple — so the engine schedules, dedups and
-disk-caches fleet runs with zero new engine code (it dispatches on
-``job.execute()``).
+contract exactly — it shares :class:`~repro.serve.jobs.BaseJob`'s
+fields, namespaced ``canonical()`` and ``execute()`` — so the engine
+schedules, dedups and disk-caches fleet runs with zero new engine code
+(it dispatches on ``job.execute()``).
 
 ``capacity_bytes`` is **total fleet capacity**, split evenly across
 shards: a 4-shard fleet and a 1-shard "fleet" of the same
@@ -14,53 +14,54 @@ federated-vs-isolated comparisons fair (the bench gate relies on it).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import ClassVar, List, Optional
 
-from ..serve.config import ServiceConfig, build_fault_config
 from ..serve.faults import FaultConfig
-from ..serve.workloads import build_workload
+from ..serve.jobs import BaseJob
+from ..serve.knobs import knob
+from ..serve.workloads import Request
 from .cluster import ClusterMetrics, run_cluster
 
 #: Bump when cluster semantics change in a way that must invalidate
 #: previously cached cluster results.
-CLUSTER_CODE_VERSION = "cluster-1"
+CLUSTER_CODE_VERSION = "cluster-2"
 
 
 @dataclass(frozen=True)
-class ClusterJob:
-    """One schedulable fleet run: (workload, policy, ring, fleet shape)."""
+class ClusterJob(BaseJob):
+    """One fleet run: (workload, policy, ring, fleet shape); capacity is
+    the fleet total, ``num_segments`` per shard."""
 
-    workload: str
-    policy: str
-    num_requests: int
-    warmup_requests: int
-    capacity_bytes: int  # TOTAL fleet capacity, split across shards
-    num_segments: int  # per shard
-    num_shards: int = 4
-    replication: int = 2
-    vnodes: int = 64
-    num_clients: int = 8
-    seed: int = 0
-    workload_params: Tuple[Tuple[str, object], ...] = ()
-    policy_params: Tuple[Tuple[str, object], ...] = ()
-    checkpoint_every: int = 0
-    federate_every: int = 0
-    hotkey_window: int = 0
-    hotkey_top_k: int = 8
-    hotkey_min_count: int = 16
-    #: per-shard origin chaos (FaultConfig.params()); empty = healthy
-    fault_params: Tuple[Tuple[str, object], ...] = ()
+    kind: ClassVar[str] = "cluster"
+    code_version: ClassVar[str] = CLUSTER_CODE_VERSION
+
+    num_shards: int = knob(4, 1)
+    replication: int = knob(2, 1)
+    vnodes: int = knob(64, 1)
+    federate_every: int = knob(0)
+    hotkey_window: int = knob(0)
+    hotkey_top_k: int = knob(8, 1)
+    hotkey_min_count: int = knob(16, 1)
+    #: per-shard origin chaos; None = healthy
+    faults: Optional[FaultConfig] = None
     #: ring-level shard kill: which shard dies, and the FaultConfig
-    #: whose outage windows define *when* (empty = no kill)
-    kill_shard: int = -1
-    kill_fault_params: Tuple[Tuple[str, object], ...] = ()
+    #: whose outage windows define *when* (None = no kill)
+    kill_shard: int = knob(-1, off=-1)
+    kill_faults: Optional[FaultConfig] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.kill_shard >= self.num_shards:
+            raise ValueError(
+                f"ClusterJob.kill_shard={self.kill_shard} is out of range "
+                f"(fleet has {self.num_shards} shards)"
+            )
 
     @property
     def label(self) -> str:
         suffix = ""
-        if self.kill_fault_params:
+        if self.kill_faults is not None:
             suffix += f" +kill{self.kill_shard}"
         if self.federate_every:
             suffix += " +fed"
@@ -69,69 +70,8 @@ class ClusterJob:
             f"x{self.num_shards}{suffix}"
         )
 
-    def canonical(self) -> Tuple:
-        """Stable literal-only identity (cache key + dedup key)."""
-        return (
-            "cluster",
-            CLUSTER_CODE_VERSION,
-            self.workload,
-            self.workload_params,
-            self.policy,
-            self.policy_params,
-            self.num_requests,
-            self.warmup_requests,
-            self.capacity_bytes,
-            self.num_segments,
-            self.num_shards,
-            self.replication,
-            self.vnodes,
-            self.num_clients,
-            self.seed,
-            self.checkpoint_every,
-            self.federate_every,
-            self.hotkey_window,
-            self.hotkey_top_k,
-            self.hotkey_min_count,
-            self.fault_params,
-            self.kill_shard,
-            self.kill_fault_params,
-        )
-
-    def service_config(self) -> ServiceConfig:
-        """The fleet-level runtime spec (per-shard variants derive
-        from it inside :class:`~repro.cluster.cluster.ClusterService`)."""
-        return ServiceConfig.from_params(
-            capacity_bytes=self.capacity_bytes,
-            num_segments=self.num_segments,
-            policy=self.policy,
-            policy_params=self.policy_params,
-            num_clients=self.num_clients,
-            warmup_requests=self.warmup_requests,
-            checkpoint_every=self.checkpoint_every,
-            seed=self.seed,
-            workload_name=self.workload,
-            fault_params=self.fault_params,
-        )
-
-    def build_kill_faults(self) -> Optional[FaultConfig]:
-        """The shard-kill outage spec (None = no kill scheduled)."""
-        return build_fault_config(self.kill_fault_params)
-
-    def execute(self, obs=None) -> ClusterMetrics:
-        """Run this fleet from its spec alone (pure given the spec)."""
-        total = self.num_requests + self.warmup_requests
-        requests = build_workload(
-            self.workload, total, seed=self.seed, **dict(self.workload_params)
-        )
-        session = None
-        if obs is not None:
-            digest = hashlib.sha256(
-                repr(self.canonical()).encode()
-            ).hexdigest()[:10]
-            session = obs.session(
-                f"cluster-{self.workload}-{self.policy}-{digest}"
-            )
-        metrics = run_cluster(
+    def run(self, requests: List[Request], obs) -> ClusterMetrics:
+        return run_cluster(
             requests,
             self.service_config(),
             self.num_shards,
@@ -142,9 +82,6 @@ class ClusterJob:
             hotkey_top_k=self.hotkey_top_k,
             hotkey_min_count=self.hotkey_min_count,
             kill_shard=self.kill_shard,
-            kill_faults=self.build_kill_faults(),
-            obs=session,
+            kill_faults=self.kill_faults,
+            obs=obs,
         )
-        if session is not None:
-            session.export()
-        return metrics

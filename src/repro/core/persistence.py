@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 from pathlib import Path
 from typing import Any, Dict
 
@@ -109,8 +110,13 @@ def _validate_qtable_grid(agent, qtable_state: Dict[str, Any]) -> None:
             )
 
 
-def load_agent_state(agent, state: Dict[str, Any], kind: str) -> None:
-    """Restore a snapshot into a live agent (geometry-checked)."""
+def check_agent_state(agent, state: Dict[str, Any], kind: str) -> None:
+    """Raise ``ValueError`` unless ``state`` can load into ``agent``.
+
+    Checks the version, kind, config fingerprint, Q-value grid,
+    counters and RNG state, and changes nothing — so a fleet restore
+    can check every snapshot before it loads any.
+    """
     if state.get("version") != SNAPSHOT_VERSION:
         raise ValueError(
             f"unsupported agent snapshot version {state.get('version')!r} "
@@ -129,11 +135,30 @@ def load_agent_state(agent, state: Dict[str, Any], kind: str) -> None:
     }
     if mismatched:
         raise ValueError(f"agent config mismatch on restore: {mismatched}")
-    _validate_qtable_grid(agent, state["qtable"])
+    qtable = state["qtable"]
+    _validate_qtable_grid(agent, qtable)
+    try:
+        int(qtable.get("lookups", 0)), int(qtable.get("updates", 0))
+        if state.get("rng_state") is not None:
+            random.Random(0).setstate(_rng_state_from_json(state["rng_state"]))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"snapshot counters or rng_state are malformed ({exc}); refusing to load"
+        ) from None
+
+
+def load_checked_state(agent, state: Dict[str, Any]) -> None:
+    """Write a snapshot that passed :func:`check_agent_state` into ``agent``."""
     agent.qtable.load_state_dict(state["qtable"])
     rng_state = state.get("rng_state")
     if rng_state is not None:
         agent._rng.setstate(_rng_state_from_json(rng_state))
+
+
+def load_agent_state(agent, state: Dict[str, Any], kind: str) -> None:
+    """Restore a snapshot into a live agent (geometry-checked)."""
+    check_agent_state(agent, state, kind)
+    load_checked_state(agent, state)
 
 
 def save_agent(agent, path: str | os.PathLike, kind: str) -> None:

@@ -22,7 +22,7 @@ are loaded lazily on first registry use, because the domains
 themselves import :mod:`repro.env.driver`.
 """
 
-from .driver import AgentCore, restore_agent_state, run_steps
+from .driver import AgentCore, restore_agent_state, restore_agent_states, run_steps
 from .jobs import EnvJob, env_job
 from .protocol import Environment, Observation
 from .registry import (
@@ -41,5 +41,6 @@ __all__ = [
     "env_job",
     "register_environment",
     "restore_agent_state",
+    "restore_agent_states",
     "run_steps",
 ]

@@ -34,7 +34,7 @@ would show up in the perf gate.  The dataclass form is for the generic
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.config import (
     ACTION_BYPASS,
@@ -226,29 +226,50 @@ class AgentCore:
         }
 
 
+def restore_agent_states(
+    agents: Sequence[AgentCore],
+    states: Sequence[dict],
+    kind: str,
+    *,
+    keep_rng: bool = False,
+) -> None:
+    """Load persistence snapshots into live agents, ops-style: all or none.
+
+    One state per agent restores each from its own snapshot (rollback);
+    one state broadcasts to every agent (promotion); any other count
+    raises ``ValueError``.  Every state passes its checks (version,
+    kind, config fingerprint, Q-value grid) before any agent changes.
+    ``keep_rng=False`` restores each snapshot completely — Q-table,
+    counters and exploration RNG; ``keep_rng=True`` swaps only the
+    Q-values, so the live agent keeps its own RNG stream and counters
+    and a mid-run swap never replays another agent's exploration.
+    Every domain's ``load_agent_states`` calls this.
+    """
+    from ..core.persistence import check_agent_state, load_checked_state
+
+    if len(states) == 1:
+        states = list(states) * len(agents)
+    if len(states) != len(agents):
+        expected = (
+            "1 agent state" if len(agents) == 1 else f"1 or {len(agents)} agent states"
+        )
+        raise ValueError(f"expected {expected}, got {len(states)}")
+    for agent, state in zip(agents, states):
+        check_agent_state(agent, state, kind)
+    for agent, state in zip(agents, states):
+        if keep_rng:
+            qtable = dict(state["qtable"])
+            qtable["lookups"] = agent.qtable.lookups
+            qtable["updates"] = agent.qtable.updates
+            state = dict(state, qtable=qtable, rng_state=None)
+        load_checked_state(agent, state)
+
+
 def restore_agent_state(
     agent: AgentCore, state: dict, kind: str, *, keep_rng: bool = False
 ) -> None:
-    """Load a persistence snapshot into a live agent, ops-style.
-
-    ``keep_rng=False`` (rollback) restores the snapshot completely —
-    Q-table, counters and exploration RNG.  ``keep_rng=True``
-    (promotion / injection) swaps only the Q-table
-    values: the live agent keeps its own RNG stream and lookup/update
-    counters, so a mid-run swap never replays another agent's
-    exploration randomness.  This is the single implementation of the
-    discipline every domain's ``load_agent_states`` follows.
-    """
-    from ..core.persistence import load_agent_state
-
-    if keep_rng:
-        qtable = dict(state["qtable"])
-        qtable["lookups"] = agent.qtable.lookups
-        qtable["updates"] = agent.qtable.updates
-        state = dict(state)
-        state["qtable"] = qtable
-        state["rng_state"] = None
-    load_agent_state(agent, state, kind)
+    """Load one snapshot into one live agent (see :func:`restore_agent_states`)."""
+    restore_agent_states([agent], [state], kind, keep_rng=keep_rng)
 
 
 def run_steps(agent: AgentCore, environment, max_steps: Optional[int] = None):

@@ -32,7 +32,7 @@ from typing import Dict, List, Tuple
 from ..core.config import ACTION_BYPASS, ACTION_TO_EPV, ChromeConfig
 from ..core.persistence import agent_state
 from ..sim.address import fold_hash, mix_hash
-from .driver import AgentCore, restore_agent_state, run_steps
+from .driver import AgentCore, restore_agent_states, run_steps
 from .protocol import Environment, Observation
 from .registry import register_environment
 
@@ -176,8 +176,8 @@ class ToyRowCacheEnvironment(Environment):
     def load_agent_states(
         self, states: List[dict], *, keep_rng: bool = False
     ) -> None:
-        restore_agent_state(
-            self.agent, states[0], self.snapshot_kind, keep_rng=keep_rng
+        restore_agent_states(
+            [self.agent], states, self.snapshot_kind, keep_rng=keep_rng
         )
 
 

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ExperimentFn = Callable[["Runner"], "ExperimentResult"]
 PlanFn = Callable[["ExperimentScale"], "ExperimentPlan"]
 
-#: id -> runner-based implementation (the historical interface).
+#: id -> runner-based implementation (every experiment has one).
 EXPERIMENTS: Dict[str, ExperimentFn] = {}
 
 #: id -> plan builder, for experiments the parallel engine can schedule.

@@ -1,7 +1,7 @@
 """Windowed control signals derived from serve-layer recorders.
 
-PR 5 introduced the obs *telemetry* surface; this module is the same
-measurements consumed the other way — as **control inputs**.  A
+:mod:`repro.obs` records these measurements as *telemetry*; this module
+consumes them the other way — as **control inputs**.  A
 :class:`SignalReader` watches one or more live
 :class:`~repro.serve.metrics.MetricsRecorder` instances (one for a
 single service, one per shard for a fleet) and, at fixed request

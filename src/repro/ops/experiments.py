@@ -54,26 +54,10 @@ def ops_window(scale: ExperimentScale) -> int:
     return max(50, total // NUM_WINDOWS)
 
 
-def guard_params(scale: ExperimentScale, degrade: bool):
-    from .config import OpsConfig
-
-    return OpsConfig(
-        window=ops_window(scale),
-        min_byte_hit_ewma=MIN_BYTE_HIT_EWMA,
-        trip_after=TRIP_AFTER,
-        warmup_windows=WARMUP_WINDOWS,
-        snapshot_every=SNAPSHOT_EVERY,
-        degrade_at_window=DEGRADE_WINDOW if degrade else -1,
-    ).params()
-
-
-def ops_job(
-    scale: ExperimentScale,
-    *,
-    ops_params=(),
-    seed: int = 0,
-):
+def ops_job(scale: ExperimentScale, *, seed: int = 0, **ops):
+    """The ``phases`` CHROME job under ``OpsConfig(**ops)`` (none = inert)."""
     from ..serve.experiments import NUM_SEGMENTS, serve_capacity
+    from .config import OpsConfig
     from .jobs import OpsJob
 
     return OpsJob(
@@ -86,29 +70,25 @@ def ops_job(
         num_clients=8,
         seed=seed,
         workload_params=(("num_phases", 8),),
-        ops_params=tuple(ops_params),
+        ops=OpsConfig(**ops),
     )
 
 
 def serve_ops_plan(scale: ExperimentScale) -> ExperimentPlan:
-    from .config import OpsConfig
-
     window = ops_window(scale)
     jobs = {
         "baseline": ops_job(scale),
-        "shadow-lru": ops_job(
+        "shadow-lru": ops_job(scale, window=window, challenger_policy="lru"),
+        "bad-deploy": ops_job(scale, window=window, degrade_at_window=DEGRADE_WINDOW),
+        "guarded": ops_job(
             scale,
-            ops_params=OpsConfig(
-                window=window, challenger_policy="lru"
-            ).params(),
+            window=window,
+            min_byte_hit_ewma=MIN_BYTE_HIT_EWMA,
+            trip_after=TRIP_AFTER,
+            warmup_windows=WARMUP_WINDOWS,
+            snapshot_every=SNAPSHOT_EVERY,
+            degrade_at_window=DEGRADE_WINDOW,
         ),
-        "bad-deploy": ops_job(
-            scale,
-            ops_params=OpsConfig(
-                window=window, degrade_at_window=DEGRADE_WINDOW
-            ).params(),
-        ),
-        "guarded": ops_job(scale, ops_params=guard_params(scale, degrade=True)),
     }
 
     def assemble(results: Mapping) -> ExperimentResult:

@@ -2,8 +2,8 @@
 
 An :class:`OpsJob` is a :class:`~repro.serve.jobs.ServeJob` with an
 ops control loop attached: the same frozen, hashable, self-describing
-spec discipline, plus an ``ops_params`` spec tuple rebuilt into an
-:class:`~repro.ops.config.OpsConfig` at execution time.  ``num_shards``
+spec discipline (:class:`~repro.serve.jobs.BaseJob`), plus the frozen
+:class:`~repro.ops.config.OpsConfig` the loop runs.  ``num_shards``
 selects the champion tier — ``0`` runs a single
 :class:`~repro.serve.service.CacheService`, ``>= 1`` a
 :class:`~repro.cluster.cluster.ClusterService` fleet — under the same
@@ -18,113 +18,48 @@ serve and cluster jobs do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import ClassVar, List
 
-from ..serve.config import ServiceConfig
-from ..serve.workloads import build_workload
+from ..serve.jobs import BaseJob
+from ..serve.knobs import knob
+from ..serve.workloads import Request
 from .config import OpsConfig
 from .controller import OpsResult, run_cluster_ops, run_ops
 
 #: Bump when ops semantics change in a way that must invalidate
 #: previously cached ops results.
-OPS_CODE_VERSION = "ops-1"
+OPS_CODE_VERSION = "ops-2"
 
 
 @dataclass(frozen=True)
-class OpsJob:
+class OpsJob(BaseJob):
     """One schedulable ops-managed run (serve or cluster champion)."""
 
-    workload: str
-    policy: str
-    num_requests: int
-    warmup_requests: int
-    capacity_bytes: int
-    num_segments: int
-    num_clients: int = 8
-    seed: int = 0
-    workload_params: Tuple[Tuple[str, object], ...] = ()
-    policy_params: Tuple[Tuple[str, object], ...] = ()
-    checkpoint_every: int = 0
-    #: OpsConfig.params() spec tuples; empty = the inert default config
-    ops_params: Tuple[Tuple[str, object], ...] = ()
+    kind: ClassVar[str] = "ops"
+    code_version: ClassVar[str] = OPS_CODE_VERSION
+
+    #: the control loop; the default config is inert
+    ops: OpsConfig = OpsConfig()
     #: 0 = single-service champion; >= 1 = cluster fleet champion
-    num_shards: int = 0
-    replication: int = 2
-    federate_every: int = 0
+    num_shards: int = knob(0)
+    replication: int = knob(2, 1)
+    federate_every: int = knob(0)
 
     @property
     def label(self) -> str:
         tier = f" x{self.num_shards}" if self.num_shards else ""
         return f"ops:{self.workload} {self.policy}{tier}"
 
-    def canonical(self) -> Tuple:
-        """Stable literal-only identity (cache key + dedup key)."""
-        return (
-            "ops",
-            OPS_CODE_VERSION,
-            self.workload,
-            self.workload_params,
-            self.policy,
-            self.policy_params,
-            self.num_requests,
-            self.warmup_requests,
-            self.capacity_bytes,
-            self.num_segments,
-            self.num_clients,
-            self.seed,
-            self.checkpoint_every,
-            self.ops_params,
-            self.num_shards,
-            self.replication,
-            self.federate_every,
-        )
-
-    def service_config(self) -> ServiceConfig:
-        """The champion's runtime spec."""
-        return ServiceConfig.from_params(
-            capacity_bytes=self.capacity_bytes,
-            num_segments=self.num_segments,
-            policy=self.policy,
-            policy_params=self.policy_params,
-            num_clients=self.num_clients,
-            warmup_requests=self.warmup_requests,
-            checkpoint_every=self.checkpoint_every,
-            seed=self.seed,
-            workload_name=self.workload,
-        )
-
-    def ops_config(self) -> OpsConfig:
-        """The control-loop spec this job carries."""
-        return OpsConfig.from_params(self.ops_params)
-
-    def execute(self, obs=None) -> OpsResult:
-        """Run this job from its spec alone (pure given the spec)."""
-        total = self.num_requests + self.warmup_requests
-        requests = build_workload(
-            self.workload, total, seed=self.seed, **dict(self.workload_params)
-        )
-        session = None
-        if obs is not None:
-            import hashlib
-
-            digest = hashlib.sha256(
-                repr(self.canonical()).encode()
-            ).hexdigest()[:10]
-            session = obs.session(f"ops-{self.workload}-{self.policy}-{digest}")
+    def run(self, requests: List[Request], obs) -> OpsResult:
         config = self.service_config()
-        ops = self.ops_config()
         if self.num_shards:
-            result = run_cluster_ops(
+            return run_cluster_ops(
                 requests,
                 config,
                 self.num_shards,
-                ops,
+                self.ops,
                 replication=self.replication,
                 federate_every=self.federate_every,
-                obs=session,
+                obs=obs,
             )
-        else:
-            result = run_ops(requests, config, ops, obs=session)
-        if session is not None:
-            session.export()
-        return result
+        return run_ops(requests, config, self.ops, obs=obs)

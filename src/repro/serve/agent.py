@@ -41,7 +41,7 @@ from ..core.config import (
     ChromeConfig,
 )
 from ..core.persistence import agent_state, restore_agent, save_agent
-from ..env.driver import AgentCore, restore_agent_state
+from ..env.driver import AgentCore, restore_agent_states
 from ..sim.address import fold_hash, mix_hash
 from .policies import ServePolicy, register_serve_policy
 from .store import CachedObject
@@ -392,21 +392,7 @@ def snapshot_agents(policies: Sequence[ServePolicy]) -> List[dict]:
 def restore_agents(
     policies: Sequence[ServePolicy], states: List[dict], *, keep_rng: bool = False
 ) -> None:
-    """Load snapshots into the agents behind ``policies``.
-
-    One state per policy restores each agent from its own snapshot (the
-    rollback path); a single state broadcasts to every agent (the
-    promotion path).  ``keep_rng`` follows
-    :func:`~repro.env.driver.restore_agent_state`.  Any other state
-    count, or a policy without an agent, raises ``ValueError``.
-    """
-    agents = _agents(policies)
-    if len(states) == 1:
-        states = states * len(agents)
-    if len(states) != len(agents):
-        expected = (
-            "1 agent state" if len(agents) == 1 else f"1 or {len(agents)} agent states"
-        )
-        raise ValueError(f"expected {expected}, got {len(states)}")
-    for agent, state in zip(agents, states):
-        restore_agent_state(agent, state, "serve-agent", keep_rng=keep_rng)
+    """Load snapshots into the agents behind ``policies``, all or none
+    (see :func:`~repro.env.driver.restore_agent_states`); a policy
+    without an agent raises ``ValueError``."""
+    restore_agent_states(_agents(policies), states, "serve-agent", keep_rng=keep_rng)

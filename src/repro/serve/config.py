@@ -12,10 +12,11 @@ model, fault model, resilience policy, capacity, warmup, client count,
   :class:`~repro.serve.resilience.ResilienceConfig`;
 * **builders live with the config** — :meth:`ServiceConfig.build_policy`
   reproduces the job-spec RNG-seeding discipline,
-  :meth:`ServiceConfig.from_params` accepts the spec-tuple forms frozen
-  job dataclasses carry, and :meth:`ServiceConfig.for_shard` derives a
-  per-shard variant (fresh policy/fault seeds, same shape) so a
-  cluster builds N shards from one config;
+  :meth:`ServiceConfig.from_params` is the one spec-tuple entry, and
+  :meth:`ServiceConfig.for_shard` derives a per-shard variant (fresh
+  policy/fault seeds, same shape) so a cluster builds N shards from
+  one config;
+* **every value is checked when it is built** (:mod:`.knobs`);
 * **the service reads it alone** — :class:`~repro.serve.service.CacheService`
   takes latency, faults, resilience and warmup from its config, and
   :func:`~repro.serve.service.build_service` is the one place a
@@ -28,68 +29,36 @@ service it describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Optional
 
 from ..sim.address import mix_hash
 from .faults import FaultConfig
-from .policies import ServePolicy, make_serve_policy
+from .knobs import Checked, Params, knob, named, unknown_name
+from .policies import SERVE_POLICIES, ServePolicy, make_serve_policy
 from .resilience import ResilienceConfig
-
-#: the spec-tuple form frozen job dataclasses embed: ((name, value), ...)
-Params = Tuple[Tuple[str, object], ...]
 
 #: policies whose exploration RNG is seeded from the config seed
 SEEDED_POLICIES = frozenset({"chrome"})
 
 
 @dataclass(frozen=True)
-class LatencyConfig:
+class LatencyConfig(Checked):
     """Virtual-time latency model (milliseconds / bytes-per-ms)."""
 
-    hit_base_ms: float = 0.1
-    hit_bytes_per_ms: float = 4 * 1024 * 1024  # ~4 GB/s from local cache
-    backend_base_ms: float = 6.0
-    backend_bytes_per_ms: float = 256 * 1024  # ~256 MB/s origin path
-    queue_penalty_ms: float = 0.25  # per outstanding backend fetch
-    inter_arrival_ms: float = 0.5
+    hit_base_ms: float = knob(0.1)
+    hit_bytes_per_ms: float = knob(4 * 1024 * 1024, open_lo=True)  # ~4 GB/s from local cache
+    backend_base_ms: float = knob(6.0)
+    backend_bytes_per_ms: float = knob(256 * 1024, open_lo=True)  # ~256 MB/s origin path
+    queue_penalty_ms: float = knob(0.25)  # per outstanding backend fetch
+    inter_arrival_ms: float = knob(0.5, open_lo=True)
 
     def hit_latency(self, size: int) -> float:
         return self.hit_base_ms + size / self.hit_bytes_per_ms
 
 
-def build_fault_config(fault_params: Params) -> Optional[FaultConfig]:
-    """FaultConfig from spec tuples (None when no faults requested)."""
-    if not fault_params:
-        return None
-    return FaultConfig(**dict(fault_params))
-
-
-def build_resilience_config(
-    resilience_params: Params,
-) -> Optional[ResilienceConfig]:
-    """ResilienceConfig from spec tuples.
-
-    ``("preset", "none")`` selects :meth:`ResilienceConfig.none` (the
-    no-resilience control group) with any remaining params overriding
-    it; an empty tuple returns None, which means *default* resilience
-    when faults are injected and :meth:`ResilienceConfig.none`
-    otherwise.
-    """
-    if not resilience_params:
-        return None
-    params = dict(resilience_params)
-    preset = params.pop("preset", "default")
-    if preset == "none":
-        base = ResilienceConfig.none()
-        return replace(base, **params) if params else base
-    if preset != "default":
-        raise ValueError(f"unknown resilience preset {preset!r}")
-    return ResilienceConfig(**params)
-
-
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(Checked):
     """Everything one :class:`~repro.serve.service.CacheService` run needs.
 
     Frozen and literal-only (policies by name, sub-configs as frozen
@@ -97,17 +66,18 @@ class ServiceConfig:
     boundaries, and key caches exactly like the job dataclasses do.
     """
 
-    capacity_bytes: int
-    num_segments: int
-    policy: str = "lru"
+    capacity_bytes: int = knob(lo=1)
+    num_segments: int = knob(lo=1)
+    policy: str = named("lru", "serve policy", SERVE_POLICIES)
     policy_params: Params = ()
-    num_clients: int = 8
-    warmup_requests: int = 0
-    checkpoint_every: int = 0
-    seed: int = 0
+    num_clients: int = knob(8, 1)
+    warmup_requests: int = knob(0)
+    checkpoint_every: int = knob(0)
+    seed: int = knob(0)
     workload_name: str = ""
     latency: Optional[LatencyConfig] = None
     faults: Optional[FaultConfig] = None
+    #: None = ResilienceConfig() under faults, ResilienceConfig.none() otherwise
     resilience: Optional[ResilienceConfig] = None
 
     @classmethod
@@ -118,15 +88,25 @@ class ServiceConfig:
         resilience_params: Params = (),
         **kwargs,
     ) -> "ServiceConfig":
-        """Build from the spec-tuple forms frozen jobs carry.
+        """Build from spec tuples: the one place ``((name, value), ...)``
+        becomes a :class:`FaultConfig` or :class:`ResilienceConfig`.
 
-        ``fault_params`` / ``resilience_params`` follow the ServeJob
-        conventions (empty = none / default); every other keyword maps
-        straight onto a :class:`ServiceConfig` field.
+        An empty tuple leaves that sub-config ``None`` (no faults /
+        the service's default resilience); a misspelt key raises
+        ``ValueError`` naming the nearest field.  Every other keyword
+        maps straight onto a :class:`ServiceConfig` field.
         """
+
+        def build(sub, params: Params):
+            names = [f.name for f in fields(sub)]
+            for key, _ in params:
+                if key not in names:
+                    raise ValueError(f"{sub.__name__}: {unknown_name('field', key, names)}")
+            return sub(**dict(params)) if params else None
+
         return cls(
-            faults=build_fault_config(fault_params),
-            resilience=build_resilience_config(resilience_params),
+            faults=build(FaultConfig, fault_params),
+            resilience=build(ResilienceConfig, resilience_params),
             **kwargs,
         )
 

@@ -37,11 +37,9 @@ class ServeEnvironment(Environment):
         num_segments: int = 64,
         num_clients: int = 1,
         seed: int = 17,
-        fault_params=(),
-        resilience_params=(),
     ) -> None:
         self._num_requests = num_requests
-        self.config = ServiceConfig.from_params(
+        self.config = ServiceConfig(
             capacity_bytes=capacity_bytes,
             num_segments=num_segments,
             policy="chrome",
@@ -49,8 +47,6 @@ class ServeEnvironment(Environment):
             warmup_requests=warmup_requests,
             seed=seed,
             workload_name=workload,
-            fault_params=tuple(fault_params),
-            resilience_params=tuple(resilience_params),
         )
         self.policy = self.config.build_policy()
 

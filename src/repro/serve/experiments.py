@@ -1,4 +1,4 @@
-"""Serve experiments: CHROME vs. classic policies on the PR-1 engine.
+"""Serve experiments: CHROME vs. classic policies on the experiment engine.
 
 Seven experiments register at import time (importing
 :mod:`repro.experiments` — or :mod:`repro.serve` — is enough), each a
@@ -37,14 +37,18 @@ memoization for free.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..experiments.engine import ExperimentPlan
 from ..experiments.registry import register_experiment
 from ..experiments.report import ExperimentResult
 from ..experiments.runner import ExperimentScale
+from .config import ServiceConfig
+from .faults import FaultConfig
 from .jobs import ServeJob
+from .knobs import Params
 from .metrics import ServeMetrics
+from .resilience import ResilienceConfig
 
 #: every serve experiment compares these policies (CHROME last so the
 #: table reads baseline -> learned)
@@ -68,7 +72,7 @@ def _serve_job(
     scale: ExperimentScale,
     workload: str,
     policy: str,
-    workload_params: Tuple[Tuple[str, object], ...] = (),
+    workload_params: Params = (),
     seed: int = 0,
 ) -> ServeJob:
     return ServeJob(
@@ -132,7 +136,7 @@ def _comparison_plan(
     title: str,
     workload: str,
     scale: ExperimentScale,
-    workload_params: Tuple[Tuple[str, object], ...] = (),
+    workload_params: Params = (),
     extra_notes=None,
 ) -> ExperimentPlan:
     jobs = {
@@ -214,7 +218,7 @@ INTER_ARRIVAL_MS = 0.5
 FAULT_POLICIES: Tuple[str, ...] = ("lru", "chrome")
 
 
-def chaos_fault_params(scale: ExperimentScale) -> Tuple[Tuple[str, object], ...]:
+def chaos_fault_params(scale: ExperimentScale) -> Params:
     """The pinned ``serve_faults`` fault model at a given run scale."""
     horizon = (scale.accesses_per_core + scale.warmup_per_core) * INTER_ARRIVAL_MS
     return (
@@ -231,7 +235,7 @@ def chaos_fault_params(scale: ExperimentScale) -> Tuple[Tuple[str, object], ...]
     )
 
 
-def resilient_params(scale: ExperimentScale) -> Tuple[Tuple[str, object], ...]:
+def resilient_params(scale: ExperimentScale) -> Params:
     """The graceful-degradation configuration under test.
 
     Two knobs must be sized against the fault model, not picked in the
@@ -254,22 +258,32 @@ def resilient_params(scale: ExperimentScale) -> Tuple[Tuple[str, object], ...]:
         ("breaker_open_ms", round(horizon / 120.0, 3)),
     )
 
-#: the control group: one attempt, no breaker, no stale copies, no shed
-NAIVE_PARAMS: Tuple[Tuple[str, object], ...] = (("preset", "none"),)
+
+def chaos_configs(
+    scale: ExperimentScale,
+) -> Tuple[FaultConfig, Dict[str, ResilienceConfig]]:
+    """The ``serve_faults`` fault model and its resilience modes: the
+    ``naive`` control group (:meth:`ResilienceConfig.none`) and the
+    ``resilient`` config under test, built from the spec tuples above."""
+    chaos = ServiceConfig.from_params(
+        capacity_bytes=serve_capacity(scale),
+        num_segments=NUM_SEGMENTS,
+        fault_params=chaos_fault_params(scale),
+        resilience_params=resilient_params(scale),
+    )
+    modes = {"naive": ResilienceConfig.none(), "resilient": chaos.resilience}
+    return chaos.faults, modes
 
 
 def serve_faults_plan(scale: ExperimentScale) -> ExperimentPlan:
-    fault_params = chaos_fault_params(scale)
+    faults, modes = chaos_configs(scale)
     jobs = {}
     for policy in FAULT_POLICIES:
-        for mode, resilience_params in (
-            ("naive", NAIVE_PARAMS),
-            ("resilient", resilient_params(scale)),
-        ):
+        for mode, resilience in modes.items():
             jobs[(policy, mode)] = replace(
                 _serve_job(scale, "zipf_scan", policy),
-                fault_params=fault_params,
-                resilience_params=resilience_params,
+                faults=faults,
+                resilience=resilience,
             )
 
     def assemble(results: Mapping[ServeJob, ServeMetrics]) -> ExperimentResult:

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the serving layer.
 
-A real origin is not the always-up, constant-speed box PR 3's
-:class:`~repro.serve.service.Backend` modelled: it has latency spikes,
+A real origin is not the always-up, constant-speed box the plain
+:class:`~repro.serve.service.Backend` models: it has latency spikes,
 transient error bursts, full outages, per-tenant brownouts (one
 tenant's shard degrades while the rest stay healthy), and a slow-start
 ramp after it recovers.  This module injects all five — *without
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..sim.address import mix_hash
+from .knobs import Checked, knob
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -46,7 +47,7 @@ _SALT_BROWNOUT = 0x55
 
 
 @dataclass(frozen=True)
-class FaultConfig:
+class FaultConfig(Checked):
     """Declarative fault model (all windows/latencies in virtual ms).
 
     Every field has an "off" default, so ``FaultConfig()`` injects
@@ -54,34 +55,28 @@ class FaultConfig:
     A rate/window of ``0`` disables that fault class.
     """
 
-    seed: int = 0
+    seed: int = knob(0)
     #: background per-attempt transient failure probability
-    error_rate: float = 0.0
+    error_rate: float = knob(0.0, 0, 1)
     #: per-attempt probability of a latency spike, and its multiplier
-    spike_rate: float = 0.0
-    spike_multiplier: float = 8.0
+    spike_rate: float = knob(0.0, 0, 1)
+    spike_multiplier: float = knob(8.0, 1)
     #: error bursts: windows where the transient error rate jumps
-    burst_every_ms: float = 0.0
-    burst_duration_ms: float = 0.0
-    burst_error_rate: float = 0.8
+    burst_every_ms: float = knob(0.0)
+    burst_duration_ms: float = knob(0.0)
+    burst_error_rate: float = knob(0.8, 0, 1)
     #: full outages: windows where *every* origin fetch fails
-    outage_every_ms: float = 0.0
-    outage_duration_ms: float = 0.0
+    outage_every_ms: float = knob(0.0)
+    outage_duration_ms: float = knob(0.0)
     #: slow start after an outage: latency multiplier decaying back to 1
-    recovery_ramp_ms: float = 0.0
-    recovery_multiplier: float = 4.0
+    recovery_ramp_ms: float = knob(0.0)
+    recovery_multiplier: float = knob(4.0, 1)
     #: per-tenant brownout: one tenant's shard degrades periodically
-    brownout_tenant: int = -1
-    brownout_every_ms: float = 0.0
-    brownout_duration_ms: float = 0.0
-    brownout_error_rate: float = 0.5
-    brownout_multiplier: float = 3.0
-
-    def params(self) -> Tuple[Tuple[str, object], ...]:
-        """Spec-tuple form for embedding in a frozen ServeJob."""
-        from dataclasses import fields
-
-        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
+    brownout_tenant: int = knob(-1, off=-1)
+    brownout_every_ms: float = knob(0.0)
+    brownout_duration_ms: float = knob(0.0)
+    brownout_error_rate: float = knob(0.5, 0, 1)
+    brownout_multiplier: float = knob(3.0, 1)
 
 
 class FaultInjector:

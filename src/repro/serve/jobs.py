@@ -9,31 +9,39 @@ process, or on a disk-cache replay — the engine schedules, dedups and
 memoizes serve jobs exactly like simulation jobs (it dispatches on
 ``job.execute()``; see :func:`repro.experiments.jobspec.execute_job`).
 
-Runtime assembly is delegated to :mod:`repro.serve.config`: a job is
-the *schedulable identity*, its :meth:`ServeJob.service_config` is the
-*runtime spec*, and :func:`repro.serve.service.run_configured` does the
-rest.
+:class:`BaseJob` holds what the serve, cluster and ops jobs share: the
+fields of one replayed request stream, ``canonical()``,
+``service_config()`` and ``execute()``.  Jobs hold sub-configs as frozen
+configs, and building a job checks every value (:mod:`.knobs`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+import hashlib
+from dataclasses import dataclass, fields
+from typing import ClassVar, List, Optional, Tuple
 
-from .config import ServiceConfig, build_resilience_config
+from .config import ServiceConfig
+from .faults import FaultConfig
+from .knobs import Checked, Params
 from .metrics import ServeMetrics
+from .resilience import ResilienceConfig
 from .service import run_configured
-from .workloads import build_workload
+from .workloads import Request, build_workload
 
 #: Bump when serve semantics change in a way that must invalidate
 #: previously cached serve results (the serve analogue of
 #: :data:`repro.experiments.jobspec.CODE_VERSION`).
-SERVE_CODE_VERSION = "serve-2"
+SERVE_CODE_VERSION = "serve-3"
 
 
 @dataclass(frozen=True)
-class ServeJob:
-    """One schedulable serve run: (workload, policy, store geometry)."""
+class BaseJob(Checked):
+    """One request stream replayed through a service-shaped system."""
+
+    #: the canonical namespace and cache version of a job kind
+    kind: ClassVar[str]
+    code_version: ClassVar[str]
 
     workload: str
     policy: str
@@ -43,43 +51,23 @@ class ServeJob:
     num_segments: int
     num_clients: int = 8
     seed: int = 0
-    workload_params: Tuple[Tuple[str, object], ...] = ()
-    policy_params: Tuple[Tuple[str, object], ...] = ()
+    workload_params: Params = ()
+    policy_params: Params = ()
     checkpoint_every: int = 0
-    #: fault model (FaultConfig.params()); empty = no injection
-    fault_params: Tuple[Tuple[str, object], ...] = ()
-    #: degradation policy (ResilienceConfig.params()); empty = default
-    #: resilience when faults are injected, ResilienceConfig.none() otherwise
-    resilience_params: Tuple[Tuple[str, object], ...] = ()
 
-    @property
-    def label(self) -> str:
-        suffix = " +faults" if self.fault_params else ""
-        return f"serve:{self.workload} {self.policy}{suffix}"
+    def __post_init__(self) -> None:
+        self.service_config()  # checks the shared fields, once, on the config
+        super().__post_init__()
 
     def canonical(self) -> Tuple:
-        """Stable literal-only identity (cache key + dedup key)."""
-        return (
-            "serve",
-            SERVE_CODE_VERSION,
-            self.workload,
-            self.workload_params,
-            self.policy,
-            self.policy_params,
-            self.num_requests,
-            self.warmup_requests,
-            self.capacity_bytes,
-            self.num_segments,
-            self.num_clients,
-            self.seed,
-            self.checkpoint_every,
-            self.fault_params,
-            self.resilience_params,
-        )
+        """Stable literal-only identity (cache key + dedup key): the
+        kind, the code version, then every field in declaration order."""
+        values = tuple(getattr(self, f.name) for f in fields(self))
+        return (self.kind, self.code_version) + values
 
     def service_config(self) -> ServiceConfig:
         """The runtime spec this job describes (see serve/config.py)."""
-        return ServiceConfig.from_params(
+        return ServiceConfig(
             capacity_bytes=self.capacity_bytes,
             num_segments=self.num_segments,
             policy=self.policy,
@@ -89,48 +77,55 @@ class ServeJob:
             checkpoint_every=self.checkpoint_every,
             seed=self.seed,
             workload_name=self.workload,
-            fault_params=self.fault_params,
-            resilience_params=self.resilience_params,
+            # Only the jobs that model them declare these fields.
+            faults=getattr(self, "faults", None),
+            resilience=getattr(self, "resilience", None),
         )
 
-    def build_policy(self):
-        """Fresh policy instance, RNG-seeded from this spec.
+    def run(self, requests: List[Request], obs):
+        raise NotImplementedError
 
-        Mirrors :class:`SimJob`'s discipline: learned policies derive
-        their exploration RNG purely from (spec seed, policy name), so
-        two jobs differing only in seed train differently, and the
-        same job always trains identically.
-        """
-        return self.service_config().build_policy()
-
-    def build_resilience(self):
-        """ResilienceConfig from the spec (see
-        :func:`repro.serve.config.build_resilience_config`)."""
-        return build_resilience_config(self.resilience_params)
-
-    def execute(self, obs=None) -> ServeMetrics:
+    def execute(self, obs=None):
         """Run this job from its spec alone (pure given the spec).
 
         ``obs`` is an optional :class:`repro.obs.ObsConfig`; when given,
         the run records a telemetry session and exports its artifacts
         under a label derived from this spec's fingerprint.  The
-        returned metrics are identical either way.
+        returned result is identical either way.
         """
-        total = self.num_requests + self.warmup_requests
         requests = build_workload(
-            self.workload, total, seed=self.seed, **dict(self.workload_params)
+            self.workload,
+            self.num_requests + self.warmup_requests,
+            seed=self.seed,
+            **dict(self.workload_params),
         )
         session = None
         if obs is not None:
-            import hashlib
-
-            digest = hashlib.sha256(
-                repr(self.canonical()).encode()
-            ).hexdigest()[:10]
-            session = obs.session(f"serve-{self.workload}-{self.policy}-{digest}")
-        metrics = run_configured(
-            requests, self.service_config(), obs=session
-        )
+            digest = hashlib.sha256(repr(self.canonical()).encode()).hexdigest()[:10]
+            session = obs.session(f"{self.kind}-{self.workload}-{self.policy}-{digest}")
+        result = self.run(requests, session)
         if session is not None:
             session.export()
-        return metrics
+        return result
+
+
+@dataclass(frozen=True)
+class ServeJob(BaseJob):
+    """One schedulable serve run: (workload, policy, store geometry)."""
+
+    kind: ClassVar[str] = "serve"
+    code_version: ClassVar[str] = SERVE_CODE_VERSION
+
+    #: fault model; None = no injection
+    faults: Optional[FaultConfig] = None
+    #: degradation policy; None = ResilienceConfig() when faults are
+    #: injected, ResilienceConfig.none() otherwise
+    resilience: Optional[ResilienceConfig] = None
+
+    @property
+    def label(self) -> str:
+        suffix = " +faults" if self.faults is not None else ""
+        return f"serve:{self.workload} {self.policy}{suffix}"
+
+    def run(self, requests: List[Request], obs) -> ServeMetrics:
+        return run_configured(requests, self.service_config(), obs=obs)

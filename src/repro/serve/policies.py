@@ -29,6 +29,8 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Set
 
+from .knobs import unknown_name
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .store import CachedObject
     from .workloads import Request
@@ -266,7 +268,5 @@ def make_serve_policy(name: str, **params) -> ServePolicy:
     try:
         builder = SERVE_POLICIES[name]
     except KeyError:
-        raise KeyError(
-            f"unknown serve policy {name!r}; available: {sorted(SERVE_POLICIES)}"
-        ) from None
+        raise KeyError(unknown_name("serve policy", name, SERVE_POLICIES)) from None
     return builder(**params)

@@ -30,18 +30,19 @@ runs it.  Five mechanisms, all in virtual time, all deterministic:
 
 ``ResilienceConfig()`` defaults are production-shaped but *inert on a
 healthy backend*: no timeout trips, no retry fires, the breaker never
-opens and nothing sheds, so runs with faults disabled remain
-bit-identical to the pre-resilience serving layer (the differential
-suite pins this against the committed goldens).
+opens and nothing sheds, so a healthy run is bit-identical to one
+under :meth:`ResilienceConfig.none` (the differential suite pins this
+against the committed goldens).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..sim.address import mix_hash
+from .knobs import Checked, knob
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -61,32 +62,32 @@ BREAKER_STATE_NAMES = {
 
 
 @dataclass(frozen=True)
-class ResilienceConfig:
+class ResilienceConfig(Checked):
     """Degradation policy knobs (virtual ms).  ``0`` disables a knob."""
 
     #: total fetch attempts per request (1 = no retries)
-    max_attempts: int = 3
+    max_attempts: int = knob(3, 1)
     #: whole-request latency budget, attempts + backoff (0 = no deadline)
-    timeout_ms: float = 0.0
-    backoff_base_ms: float = 2.0
-    backoff_multiplier: float = 2.0
-    backoff_cap_ms: float = 50.0
+    timeout_ms: float = knob(0.0)
+    backoff_base_ms: float = knob(2.0)
+    backoff_multiplier: float = knob(2.0, 1)
+    backoff_cap_ms: float = knob(50.0)
     #: jitter drawn uniformly from [0, jitter_fraction * backoff)
-    jitter_fraction: float = 0.5
+    jitter_fraction: float = knob(0.5, 0, 1)
     #: consecutive failures that open the breaker (0 = breaker off)
-    breaker_failure_threshold: int = 8
-    breaker_open_ms: float = 250.0
-    breaker_half_open_probes: int = 2
+    breaker_failure_threshold: int = knob(8)
+    breaker_open_ms: float = knob(250.0)
+    breaker_half_open_probes: int = knob(2, 1)
     #: evicted keys retained for stale serving (0 = stale serving off)
-    stale_entries: int = 4096
+    stale_entries: int = knob(4096)
     #: extra latency charged to a stale response (staleness check)
-    stale_latency_ms: float = 0.5
+    stale_latency_ms: float = knob(0.5)
     #: shed new misses once this many fetches are outstanding (0 = off)
-    shed_outstanding: int = 0
+    shed_outstanding: int = knob(0)
     #: virtual latency of a fast-fail response (shed / breaker denial)
-    error_latency_ms: float = 1.0
+    error_latency_ms: float = knob(1.0)
     #: salt for the deterministic backoff jitter
-    seed: int = 0
+    seed: int = knob(0)
 
     @classmethod
     def none(cls) -> "ResilienceConfig":
@@ -100,10 +101,6 @@ class ResilienceConfig:
             stale_entries=0,
             shed_outstanding=0,
         )
-
-    def params(self) -> Tuple[Tuple[str, object], ...]:
-        """Spec-tuple form for embedding in a frozen ServeJob."""
-        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
 
 class CircuitBreaker:

@@ -53,7 +53,6 @@ for free by declaring itself here.
 
 from __future__ import annotations
 
-import difflib
 import inspect
 import random
 from bisect import bisect_left
@@ -61,6 +60,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from ..sim.address import mix_hash
+from .knobs import unknown_name
 
 _MASK64 = (1 << 64) - 1
 
@@ -798,11 +798,7 @@ def build_workload(
     try:
         spec = WORKLOAD_SPECS[name]
     except KeyError:
-        message = f"unknown workload {name!r}; available: {sorted(WORKLOADS)}"
-        close = difflib.get_close_matches(name, WORKLOADS, n=1)
-        if close:
-            message += f" (did you mean {close[0]!r}?)"
-        raise KeyError(message) from None
+        raise KeyError(unknown_name("workload", name, WORKLOADS)) from None
     knobs = spec.knobs
     unknown = sorted(set(params) - set(knobs))
     if unknown:

@@ -21,7 +21,7 @@ from typing import Dict, List
 from ..core.chrome import ChromePolicy
 from ..core.config import ChromeConfig
 from ..core.persistence import agent_state
-from ..env.driver import restore_agent_state
+from ..env.driver import restore_agent_states
 from ..env.protocol import Environment
 from ..env.registry import register_environment
 from ..traces.mixes import homogeneous_mix
@@ -87,8 +87,8 @@ class SimEnvironment(Environment):
     def load_agent_states(
         self, states: List[dict], *, keep_rng: bool = False
     ) -> None:
-        restore_agent_state(
-            self.policy, states[0], self.snapshot_kind, keep_rng=keep_rng
+        restore_agent_states(
+            [self.policy], states, self.snapshot_kind, keep_rng=keep_rng
         )
 
 

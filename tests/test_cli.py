@@ -106,10 +106,10 @@ def test_cluster_flags_reach_cluster_job():
     assert job.capacity_bytes == 8 << 20
     assert (job.num_clients, job.seed) == (3, 9)
     assert (job.federate_every, job.hotkey_window) == (400, 250)
-    assert job.kill_shard == -1 and job.kill_fault_params == ()
+    assert job.kill_shard == -1 and job.kill_faults is None
 
 
-def test_cluster_kill_shard_validation():
+def test_cluster_kill_shard_validation(capsys):
     from repro.cli import _cluster_job_from_args
 
     with pytest.raises(ValueError, match="out of range"):
@@ -117,14 +117,22 @@ def test_cluster_kill_shard_validation():
     job = _cluster_job_from_args(
         _parse(["cluster", "--shards", "4", "--kill-shard", "2"])
     )
-    assert job.kill_shard == 2 and job.kill_fault_params
+    assert job.kill_shard == 2 and job.kill_faults is not None
     with pytest.raises(ValueError, match="shards"):
         _cluster_job_from_args(_parse(["cluster", "--shards", "0"]))
+    # a bad value fails in the job's own check: `error: ...` naming the
+    # field, exit 2, before anything runs
+    for argv, field in (
+        (["cluster", "--replication", "0"], "ClusterJob.replication=0"),
+        (["cluster", "--policy", "chrmoe"], "did you mean 'chrome'"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
 
 def test_ops_flags_reach_ops_job():
     from repro.cli import _ops_job_from_args
-    from repro.ops import OpsConfig
 
     job = _ops_job_from_args(
         _parse(
@@ -143,23 +151,25 @@ def test_ops_flags_reach_ops_job():
     assert (job.num_requests, job.warmup_requests) == (3200, 200)
     assert job.capacity_bytes == 2 << 20
     assert (job.num_clients, job.seed, job.num_shards) == (4, 17, 3)
-    ops = OpsConfig.from_params(job.ops_params)
+    ops = job.ops
     assert ops.window == 200
     assert ops.challenger_policy == "lru" and ops.promote_after == 2
     assert ops.min_byte_hit_ewma == 0.05 and ops.max_p99_ms == 9.5
     assert ops.snapshot_every == 2 and ops.degrade_at_window == 6
 
 
-def test_ops_window_defaults_to_sixteenth_of_run():
+def test_ops_window_defaults_to_sixteenth_of_run(capsys):
     from repro.cli import _ops_job_from_args
-    from repro.ops import OpsConfig
 
     job = _ops_job_from_args(
         _parse(["ops", "--requests", "3200", "--warmup", "0"])
     )
-    assert OpsConfig.from_params(job.ops_params).window == 200
+    assert job.ops.window == 200
     with pytest.raises(ValueError, match="shards"):
         _ops_job_from_args(_parse(["ops", "--shards", "-1"]))
+    assert main(["ops", "--min-byte-hit", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "OpsConfig.min_byte_hit_ewma=2.0" in err
 
 
 @pytest.mark.parametrize("command", ["cluster", "ops"])

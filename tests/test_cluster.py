@@ -22,6 +22,7 @@ from repro.cluster.federate import federate_agents
 from repro.core.config import ChromeConfig
 from repro.core.qtable import QTable
 from repro.serve.config import ServiceConfig
+from repro.serve.faults import FaultConfig
 from repro.serve.service import run_configured
 from repro.serve.store import ObjectStore
 from repro.serve.workloads import build_workload
@@ -333,7 +334,7 @@ def _fleet_job(**overrides):
         federate_every=400,
         hotkey_window=256,
         kill_shard=1,
-        kill_fault_params=_KILL_FAULTS,
+        kill_faults=FaultConfig(**dict(_KILL_FAULTS)),
     )
     spec.update(overrides)
     return ClusterJob(**spec)
@@ -353,7 +354,7 @@ def test_cluster_shard_kill_heals_and_routes_around():
     # every request (warmup included) landed on exactly one shard
     assert sum(metrics.routed) == 1200 + 300
     assert metrics.federations > 0
-    healthy = _fleet_job(kill_shard=-1, kill_fault_params=()).execute()
+    healthy = _fleet_job(kill_shard=-1, kill_faults=None).execute()
     assert healthy.ring_changes == 0
     assert healthy.reroutes == 0
 

@@ -122,6 +122,22 @@ def test_env_snapshot_restore_resumes_identically(name):
     assert twin.agent_states() == env.agent_states()
 
 
+@pytest.mark.parametrize("name", environments())
+def test_env_restore_rejects_wrong_state_counts(name):
+    """One state broadcasts, one per agent restores; any other count
+    (none included) raises ValueError and leaves the agents untouched."""
+    env = build_small(name)
+    env.run()
+    states = env.agent_states()
+
+    fresh = build_small(name)
+    before = fresh.agent_states()
+    for wrong in ([], states + states[:1]):
+        with pytest.raises(ValueError, match="agent state"):
+            fresh.load_agent_states(wrong)
+        assert fresh.agent_states() == before
+
+
 # --- engine integration ---------------------------------------------------------
 
 

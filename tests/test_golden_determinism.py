@@ -27,7 +27,10 @@ import pytest
 
 from repro.cluster.jobs import ClusterJob
 from repro.core.chrome import ChromePolicy
+from repro.ops.config import OpsConfig
+from repro.serve.faults import FaultConfig
 from repro.serve.jobs import ServeJob
+from repro.serve.resilience import ResilienceConfig
 from repro.sim.multicore import MultiCoreSystem, SystemConfig
 from repro.sim.replacement.lru import LRUPolicy
 from repro.traces.mixes import heterogeneous_mix, homogeneous_mix
@@ -276,10 +279,10 @@ _GOLDEN_BROWNOUT_FAULTS = _GOLDEN_FAULTS + (
     ("brownout_duration_ms", 50.0),
 )
 
-_GOLDEN_RESILIENCE = (
-    ("timeout_ms", 30.0),
-    ("shed_outstanding", 128),
-    ("breaker_open_ms", 6.0),
+_GOLDEN_RESILIENCE = ResilienceConfig(
+    timeout_ms=30.0,
+    shed_outstanding=128,
+    breaker_open_ms=6.0,
 )
 
 
@@ -287,7 +290,7 @@ def _serve_faults_case(
     workload: str,
     policy: str,
     fault_params: tuple,
-    resilience_params: tuple,
+    resilience: ResilienceConfig,
 ) -> dict:
     job = ServeJob(
         workload=workload,
@@ -299,8 +302,8 @@ def _serve_faults_case(
         num_clients=5,
         seed=17,
         checkpoint_every=400,
-        fault_params=fault_params,
-        resilience_params=resilience_params,
+        faults=FaultConfig(**dict(fault_params)),
+        resilience=resilience,
     )
     return _serve_fault_stats(job.execute())
 
@@ -315,7 +318,7 @@ def compute_serve_faults_golden() -> dict:
     """
     return {
         "lru_naive_outages": _serve_faults_case(
-            "zipf_scan", "lru", _GOLDEN_FAULTS, (("preset", "none"),)
+            "zipf_scan", "lru", _GOLDEN_FAULTS, ResilienceConfig.none()
         ),
         "chrome_resilient_outages": _serve_faults_case(
             "zipf_scan", "chrome", _GOLDEN_FAULTS, _GOLDEN_RESILIENCE
@@ -386,14 +389,16 @@ def compute_cluster_golden() -> dict:
     return {
         "chrome_federated": _cluster_case("chrome"),
         "chrome_federated_killshard": _cluster_case(
-            "chrome", kill_shard=2, kill_fault_params=_GOLDEN_KILL_FAULTS
+            "chrome",
+            kill_shard=2,
+            kill_faults=FaultConfig(**dict(_GOLDEN_KILL_FAULTS)),
         ),
         "lru_faults_killshard": _cluster_case(
             "lru",
             federate_every=0,
             kill_shard=1,
-            kill_fault_params=_GOLDEN_KILL_FAULTS,
-            fault_params=_GOLDEN_FAULTS,
+            kill_faults=FaultConfig(**dict(_GOLDEN_KILL_FAULTS)),
+            faults=FaultConfig(**dict(_GOLDEN_FAULTS)),
         ),
     }
 
@@ -491,21 +496,21 @@ def compute_ops_golden() -> dict:
     """
     return {
         "shadow_chrome_zipf_scan": _ops_case(
-            ops_params=(("window", 200), ("challenger_policy", "lru")),
+            ops=OpsConfig(window=200, challenger_policy="lru"),
         ),
         "guarded_degrade_phases": _ops_case(
             workload="phases",
             workload_params=(("num_phases", 8),),
             num_requests=4000,
             checkpoint_every=0,
-            ops_params=_GOLDEN_OPS_GUARD,
+            ops=OpsConfig(**dict(_GOLDEN_OPS_GUARD)),
         ),
         "cluster_guarded_degrade": _ops_case(
             workload="phases",
             workload_params=(("num_phases", 8),),
             num_requests=4000,
             checkpoint_every=0,
-            ops_params=_GOLDEN_OPS_GUARD_FLEET,
+            ops=OpsConfig(**dict(_GOLDEN_OPS_GUARD_FLEET)),
             num_shards=3,
             federate_every=500,
         ),

@@ -202,6 +202,7 @@ def test_sim_obs_artifacts_parse(tmp_path):
 
 
 def _serve_metrics(obs=None):
+    from repro.serve.faults import FaultConfig
     from repro.serve.jobs import ServeJob
 
     job = ServeJob(
@@ -213,7 +214,7 @@ def _serve_metrics(obs=None):
         num_segments=64,
         num_clients=4,
         seed=3,
-        fault_params=(("outage_every_ms", 400.0), ("outage_duration_ms", 60.0)),
+        faults=FaultConfig(outage_every_ms=400.0, outage_duration_ms=60.0),
     )
     return job.execute(obs=obs) if obs is not None else job.execute()
 
@@ -227,6 +228,7 @@ def test_serve_results_identical_with_and_without_obs(tmp_path):
 
 def _fleet_metrics(obs=None):
     from repro.cluster import ClusterJob
+    from repro.serve.faults import FaultConfig
 
     job = ClusterJob(
         workload="zipf_scan",
@@ -240,10 +242,10 @@ def _fleet_metrics(obs=None):
         seed=5,
         federate_every=200,
         hotkey_window=128,
-        fault_params=(("seed", 2), ("error_rate", 0.05)),
+        faults=FaultConfig(seed=2, error_rate=0.05),
         kill_shard=1,
-        kill_fault_params=(
-            ("seed", 3), ("outage_every_ms", 150.0), ("outage_duration_ms", 40.0),
+        kill_faults=FaultConfig(
+            seed=3, outage_every_ms=150.0, outage_duration_ms=40.0
         ),
     )
     return job.execute(obs=obs) if obs is not None else job.execute()

@@ -24,11 +24,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
+from repro.serve.faults import FaultConfig
 from repro.serve.jobs import ServeJob
 from repro.serve.resilience import ResilienceConfig
 
@@ -81,8 +82,8 @@ CHAOS_RESILIENCE = (
 def _chaos_job(policy: str, workload: str = "multitenant") -> ServeJob:
     return replace(
         _golden_job(workload, policy),
-        fault_params=CHAOS_FAULTS,
-        resilience_params=CHAOS_RESILIENCE,
+        faults=FaultConfig(**dict(CHAOS_FAULTS)),
+        resilience=ResilienceConfig(**dict(CHAOS_RESILIENCE)),
     )
 
 
@@ -102,13 +103,10 @@ def test_default_resilience_matches_committed_golden(
     case: str, workload: str, policy: str
 ) -> None:
     golden = json.loads(SERVE_GOLDEN_PATH.read_text())
-    job = replace(
-        _golden_job(workload, policy),
-        resilience_params=(("preset", "default"),),
-    )
+    job = replace(_golden_job(workload, policy), resilience=ResilienceConfig())
     # sanity: the spec really selects the all-defaults policy, not the
     # do-nothing ResilienceConfig.none() a plain service runs
-    assert job.build_resilience() == ResilienceConfig()
+    assert job.service_config().resilience == ResilienceConfig()
     assert _serve_stats(job.execute()) == golden[case], (
         f"{case}: the resilient pipeline with default knobs diverged "
         "from the plain-service golden — graceful degradation must be "
@@ -130,7 +128,9 @@ def test_default_resilience_pipeline_actually_engages() -> None:
         job.workload, job.num_requests + job.warmup_requests, seed=job.seed
     )
     recorder = MetricsRecorder(policy=job.policy, workload=job.workload)
-    store = ObjectStore(job.capacity_bytes, job.num_segments, job.build_policy())
+    store = ObjectStore(
+        job.capacity_bytes, job.num_segments, job.service_config().build_policy()
+    )
     config = replace(job.service_config(), resilience=ResilienceConfig())
     service = CacheService(store, config, recorder=recorder)
     assert service.resilience.config == ResilienceConfig()
@@ -164,9 +164,14 @@ _SUBPROCESS_SCRIPT = """
 import json, sys
 sys.path.insert(0, {src!r})
 sys.path.insert(0, {root!r})
+from repro.serve.faults import FaultConfig
 from repro.serve.jobs import ServeJob
+from repro.serve.resilience import ResilienceConfig
 from tests.test_golden_determinism import _serve_fault_stats
-job = ServeJob(**json.loads(sys.stdin.read()))
+spec = json.loads(sys.stdin.read())
+spec["faults"] = FaultConfig(**spec["faults"])
+spec["resilience"] = ResilienceConfig(**spec["resilience"])
+job = ServeJob(**spec)
 print(json.dumps(_serve_fault_stats(job.execute()), sort_keys=True))
 """
 
@@ -182,8 +187,8 @@ def _job_spec_json(job: ServeJob) -> str:
         "num_clients": job.num_clients,
         "seed": job.seed,
         "checkpoint_every": job.checkpoint_every,
-        "fault_params": [list(p) for p in job.fault_params],
-        "resilience_params": [list(p) for p in job.resilience_params],
+        "faults": asdict(job.faults),
+        "resilience": asdict(job.resilience),
     }
     return json.dumps(spec)
 

@@ -64,15 +64,15 @@ def test_serve_plans_compare_every_policy():
             # chaos plan: (baseline, learned) x (naive, resilient)
             assert len(plan.jobs) == 2 * len(FAULT_POLICIES)
             assert {job.policy for job in plan.jobs} == set(FAULT_POLICIES)
-            assert all(job.fault_params for job in plan.jobs)
-            modes = {job.resilience_params for job in plan.jobs}
+            assert all(job.faults is not None for job in plan.jobs)
+            modes = {job.resilience for job in plan.jobs}
             assert len(modes) == 2  # naive control vs resilient config
         else:
             assert len(plan.jobs) == len(SERVE_POLICIES_COMPARED)
             assert {job.policy for job in plan.jobs} == set(
                 SERVE_POLICIES_COMPARED
             )
-            assert not any(job.fault_params for job in plan.jobs)
+            assert all(job.faults is None for job in plan.jobs)
 
 
 def test_serve_capacity_scales_with_machine_scale():

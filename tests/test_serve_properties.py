@@ -35,9 +35,11 @@ import random
 
 import pytest
 
+from repro.serve.faults import FaultConfig
 from repro.serve.jobs import ServeJob
 from repro.serve.metrics import MetricsRecorder
 from repro.serve.service import CacheService, drive_requests
+from repro.serve.resilience import ResilienceConfig
 from repro.serve.store import ObjectStore
 from repro.serve.workloads import build_workload
 
@@ -106,37 +108,37 @@ class BreakerGuard:
 def random_job(rng: random.Random, policy: str) -> ServeJob:
     """One seeded point in the (workload, geometry, chaos) config space."""
     num_segments = rng.choice((16, 32, 64))
-    fault_params = ()
+    faults = None
     if rng.random() < 0.75:  # 25% of configs stay healthy
         horizon = 500 * 0.5
-        fault_params = (
-            ("seed", rng.randrange(1 << 16)),
-            ("error_rate", rng.choice((0.0, 0.01, 0.05))),
-            ("spike_rate", rng.choice((0.0, 0.03))),
-            ("spike_multiplier", rng.choice((4.0, 8.0))),
-            ("burst_every_ms", rng.choice((0.0, horizon / 3))),
-            ("burst_duration_ms", horizon / 12),
-            ("outage_every_ms", rng.choice((0.0, horizon / 2))),
-            ("outage_duration_ms", horizon / 8),
-            ("recovery_ramp_ms", rng.choice((0.0, horizon / 16))),
-            ("brownout_tenant", rng.choice((-1, 1))),
-            ("brownout_every_ms", horizon / 2),
-            ("brownout_duration_ms", horizon / 10),
+        faults = FaultConfig(
+            seed=rng.randrange(1 << 16),
+            error_rate=rng.choice((0.0, 0.01, 0.05)),
+            spike_rate=rng.choice((0.0, 0.03)),
+            spike_multiplier=rng.choice((4.0, 8.0)),
+            burst_every_ms=rng.choice((0.0, horizon / 3)),
+            burst_duration_ms=horizon / 12,
+            outage_every_ms=rng.choice((0.0, horizon / 2)),
+            outage_duration_ms=horizon / 8,
+            recovery_ramp_ms=rng.choice((0.0, horizon / 16)),
+            brownout_tenant=rng.choice((-1, 1)),
+            brownout_every_ms=horizon / 2,
+            brownout_duration_ms=horizon / 10,
         )
     resilience_choice = rng.randrange(3)
-    if resilience_choice == 0 and not fault_params:
-        resilience_params = ()  # plain service: no faults, no resilience
+    if resilience_choice == 0 and faults is None:
+        resilience = None  # plain service: no faults, no resilience
     elif resilience_choice == 1:
-        resilience_params = (("preset", "none"),)  # naive control
+        resilience = ResilienceConfig.none()  # naive control
     else:
-        resilience_params = (
-            ("max_attempts", rng.choice((1, 2, 3, 4))),
-            ("timeout_ms", rng.choice((0.0, 20.0, 45.0))),
-            ("breaker_failure_threshold", rng.choice((0, 3, 8))),
-            ("breaker_open_ms", rng.choice((4.0, 25.0))),
-            ("stale_entries", rng.choice((0, 64, 1024))),
-            ("shed_outstanding", rng.choice((0, 4, 32))),
-            ("seed", rng.randrange(1 << 16)),
+        resilience = ResilienceConfig(
+            max_attempts=rng.choice((1, 2, 3, 4)),
+            timeout_ms=rng.choice((0.0, 20.0, 45.0)),
+            breaker_failure_threshold=rng.choice((0, 3, 8)),
+            breaker_open_ms=rng.choice((4.0, 25.0)),
+            stale_entries=rng.choice((0, 64, 1024)),
+            shed_outstanding=rng.choice((0, 4, 32)),
+            seed=rng.randrange(1 << 16),
         )
     return ServeJob(
         workload=rng.choice(WORKLOADS),
@@ -147,8 +149,8 @@ def random_job(rng: random.Random, policy: str) -> ServeJob:
         num_segments=num_segments,
         num_clients=rng.choice((1, 3, 8)),
         seed=rng.randrange(1 << 16),
-        fault_params=fault_params,
-        resilience_params=resilience_params,
+        faults=faults,
+        resilience=resilience,
     )
 
 
@@ -160,7 +162,7 @@ def run_audited(job: ServeJob):
     )
     recorder = MetricsRecorder(policy=job.policy, workload=job.workload)
     store = AuditedStore(
-        job.capacity_bytes, job.num_segments, job.build_policy()
+        job.capacity_bytes, job.num_segments, job.service_config().build_policy()
     )
     service = CacheService(store, job.service_config(), recorder=recorder)
     BreakerGuard(service)
@@ -201,7 +203,7 @@ def check_invariants(job: ServeJob, metrics, service: CacheService) -> None:
     if job.warmup_requests == 0:
         assert m.breaker_opens == res.breaker_opens()
     assert m.stale_served <= m.evictions or res.config.stale_entries == 0
-    if not job.fault_params and not job.resilience_params:
+    if job.faults is None and job.resilience is None:
         # a plain service on a healthy origin: nothing can degrade
         assert m.retries == m.timeouts == m.errors == m.shed == 0
         assert m.stale_served == 0
@@ -221,18 +223,18 @@ def test_serve_invariants_hold_across_seeded_configs(policy: str) -> None:
         # policy's sweep covers plain, naive-chaos and resilient-chaos
         # regardless of what the random stream happens to draw
         if i == 0:
-            job = replace(job, fault_params=(), resilience_params=())
-        elif i == 1 and not job.fault_params:
+            job = replace(job, faults=None, resilience=None)
+        elif i == 1 and job.faults is None:
             job = replace(
                 job,
-                fault_params=(("seed", 3), ("error_rate", 0.05)),
-                resilience_params=(("preset", "none"),),
+                faults=FaultConfig(seed=3, error_rate=0.05),
+                resilience=ResilienceConfig.none(),
             )
-        elif i == 2 and not job.resilience_params:
-            job = replace(job, resilience_params=(("max_attempts", 3),))
-        saw_faults |= bool(job.fault_params)
-        saw_resilient |= bool(job.resilience_params) or bool(job.fault_params)
-        saw_plain |= not job.fault_params and not job.resilience_params
+        elif i == 2 and job.resilience is None:
+            job = replace(job, resilience=ResilienceConfig(max_attempts=3))
+        saw_faults |= job.faults is not None
+        saw_resilient |= job.resilience is not None or job.faults is not None
+        saw_plain |= job.faults is None and job.resilience is None
         metrics, service = run_audited(job)
         check_invariants(job, metrics, service)
     # the sweep must actually exercise all three pipeline shapes
