@@ -29,7 +29,7 @@ serving, shedding) that turns injected faults into bounded damage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 from ..sim.address import mix_hash
 from .knobs import Checked, knob
@@ -37,6 +37,7 @@ from .knobs import Checked, knob
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _INV_2_64 = 1.0 / float(1 << 64)
+_INF = float("inf")
 
 # Salt constants so independent decision streams never correlate.
 _SALT_ERROR = 0x51
@@ -83,17 +84,21 @@ class FaultInjector:
     """Pure-function fault oracle over a :class:`FaultConfig`.
 
     All randomness is derived by hashing ``(seed, salt, ...)`` through
-    the splitmix64 finalizer — stateless, order-independent and
+    the splitmix64 finalizer — pure, order-independent and
     process-independent, which is what lets the concurrent driver
     consult it without any sequencing constraints beyond the ones the
-    service already enforces.
+    service already enforces.  Each fault class memoizes the starts of
+    its current and previous window; a start depends only on
+    ``(seed, salt, k)``, so the memo changes the cost, never an answer.
     """
 
-    __slots__ = ("config", "_seed")
+    __slots__ = ("config", "_seed", "_starts")
 
     def __init__(self, config: FaultConfig) -> None:
         self.config = config
         self._seed = mix_hash((config.seed << 1) ^ 0xFA017)
+        #: salt -> (k, start of window k, start of window k - 1)
+        self._starts: Dict[int, Tuple[int, float, float]] = {}
 
     # --- deterministic randomness ---------------------------------------------
 
@@ -112,22 +117,30 @@ class FaultInjector:
 
         Window ``k`` starts at ``k*every + jitter_k`` where the jitter
         is a pure hash of ``(seed, salt, k)`` — windows land at
-        irregular but fully reproducible times.
+        irregular but fully reproducible times.  A salt is always asked
+        with the same ``(every_ms, duration_ms)``, so its one memo slot
+        is refilled only when ``k`` changes; a window before ``k = 0``
+        starts at ``inf``, which no comparison below matches.
         """
         if every_ms <= 0.0 or duration_ms <= 0.0:
-            return False, float("inf")
-        span = max(0.0, every_ms - duration_ms)
-        since_end = float("inf")
+            return False, _INF
         k = int(now_ms // every_ms)
-        for kk in (k, k - 1):
-            if kk < 0:
-                continue
-            start = kk * every_ms + self._unit(salt, kk) * span
-            end = start + duration_ms
-            if start <= now_ms < end:
-                return True, 0.0
-            if now_ms >= end:
-                since_end = min(since_end, now_ms - end)
+        slot = self._starts.get(salt)
+        if slot is None or slot[0] != k:
+            span = max(0.0, every_ms - duration_ms)
+            start, prev = (
+                kk * every_ms + self._unit(salt, kk) * span if kk >= 0 else _INF
+                for kk in (k, k - 1)
+            )
+            slot = self._starts[salt] = (k, start, prev)
+        _, start, prev = slot
+        end = start + duration_ms
+        prev_end = prev + duration_ms
+        if start <= now_ms < end or prev <= now_ms < prev_end:
+            return True, 0.0
+        since_end = now_ms - end if now_ms >= end else _INF
+        if now_ms >= prev_end:
+            since_end = min(since_end, now_ms - prev_end)
         return False, since_end
 
     def outage_state(self, now_ms: float) -> Tuple[bool, float]:

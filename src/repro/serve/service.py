@@ -184,30 +184,35 @@ class CacheService:
     ) -> None:
         """Shed -> breaker -> timeout/retry attempt loop -> stale fallback.
 
-        All in virtual time derived from ``seq``.  With no injector and
-        :meth:`ResilienceConfig.none`, every branch below reduces to
-        one fetch and one admit: the same fetch call and the same floats
-        as a proxy with no resilience at all.
+        All in virtual time derived from ``seq``.  A stage that is off
+        makes no call, so with no injector and
+        :meth:`ResilienceConfig.none` a miss is one fetch and one admit:
+        the same fetch call and the same floats as a proxy with no
+        resilience at all.
         """
         now_ms = seq * self.latency.inter_arrival_ms
         res = self.resilience
         cfg = res.config
         injector = self.injector
-        degraded_window = (
-            injector.degraded(req.tenant, now_ms) if injector is not None else False
-        )
+        guarded = cfg.breaker_failure_threshold > 0
+        stale = cfg.stale_entries > 0
 
         # 1. Load shedding: refuse new misses when the origin is drowning.
-        if res.should_shed(self.backend.outstanding(now_ms)):
+        # With shedding off, skipping ``outstanding`` is exact: ``fetch``
+        # pops the same finished entries before it counts.
+        if cfg.shed_outstanding > 0 and res.should_shed(
+            self.backend.outstanding(now_ms)
+        ):
             if recorder is not None:
                 recorder.on_shed(req.tenant, req.size, cfg.error_latency_ms)
             return
 
         # 2. Circuit breaker: an open breaker never touches the backend.
+        # The tenant's breaker exists even when off, so it reports closed.
         breaker = res.breaker(req.tenant)
-        allowed, probing = breaker.allow(now_ms)
+        allowed, probing = breaker.allow(now_ms) if guarded else (True, False)
         if not allowed:
-            if res.stale_hit(req.key):
+            if stale and res.stale_hit(req.key):
                 latency = self.latency.hit_latency(req.size) + cfg.stale_latency_ms
                 if recorder is not None:
                     recorder.on_stale(req.tenant, req.size, latency)
@@ -265,7 +270,8 @@ class CacheService:
                 recorder.on_retry()
 
         if success:
-            breaker.on_success()
+            if guarded:
+                breaker.on_success()
             # Fault-inflated latency (spikes, brownouts, retries,
             # backoff) is a *real* obstruction signal: the tenant's
             # misses are expensive right now, so the agent's NR rewards
@@ -273,20 +279,25 @@ class CacheService:
             # slowness.
             self.monitor.observe(req.tenant, total)
             self.store.admit(req)
-            res.forget_stale(req.key)
+            if stale:
+                res.forget_stale(req.key)
             if recorder is not None:
                 recorder.on_request(
                     req.tenant, req.size, False, total, peak_outstanding
                 )
-                if degraded_window or probing or attempt > 1:
+                # The fault-window label is pure, so it is computed only
+                # here, where it is read.
+                if probing or attempt > 1 or (
+                    injector is not None and injector.degraded(req.tenant, now_ms)
+                ):
                     recorder.note_degraded(total)
             return
 
         # 4. Every attempt failed: trip the breaker, fall back to stale.
-        if breaker.on_failure(now_ms) and recorder is not None:
+        if guarded and breaker.on_failure(now_ms) and recorder is not None:
             recorder.on_breaker_open()
         self.monitor.observe_failure(req.tenant, total)
-        if res.stale_hit(req.key):
+        if stale and res.stale_hit(req.key):
             latency = total + self.latency.hit_latency(req.size) + cfg.stale_latency_ms
             if recorder is not None:
                 recorder.on_stale(req.tenant, req.size, latency)
